@@ -28,7 +28,6 @@ from .scenario import (
     load_model,
     model_from_dict,
     model_to_dict,
-    save_model,
 )
 from .simplex import LpError, LpResult, solve_lp
 
@@ -39,6 +38,6 @@ __all__ = [
     "enumerate_global_sections", "noncontextual_decompose",
     "TSIRELSON_SETTINGS", "quantum_model_from_state", "singlet_chsh_model",
     "singlet_state", "EmpiricalModel", "Scenario", "ScenarioError",
-    "load_model", "model_from_dict", "model_to_dict", "save_model",
+    "load_model", "model_from_dict", "model_to_dict",
     "LpError", "LpResult", "solve_lp",
 ]

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from pathlib import Path
 
 NORM_TOL = 1e-9
 
@@ -173,7 +172,3 @@ def model_to_dict(model: EmpiricalModel) -> dict:
 def load_model(path) -> EmpiricalModel:
     with open(path) as fh:
         return model_from_dict(json.load(fh))
-
-
-def save_model(model: EmpiricalModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True))

@@ -10,9 +10,13 @@ quantum-to-classical interpolation.  A useful corollary (used as a test
 oracle): the lam-dynamics of (R, S) is identical to ordinary Schrodinger
 dynamics with an effective action scale hbar_eff = sqrt(lam) * hbar.
 
-Integrator: Strang-split spectral stepping; the nonlinear term is
-recomputed from |psi| at every potential half-step (first order in dt for
-the nonlinear part).
+Integrator: Strang-split spectral stepping (half kick, kinetic factor in
+Fourier space, half kick), shared with the pointer model of
+`measurement`.  The kick changes only the phase of psi, so the factor
+that closes one step also opens the next: at lam < 1 the quantum
+potential is evaluated once per step, from |psi| after the kinetic
+factor (first order in dt for the nonlinear part), and at lam = 1 the
+kick factor is exponentiated once per run.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid_field import (
-    FieldError,
     Grid,
     PhysicalParams,
     PotentialSpec,
@@ -46,7 +49,6 @@ class EvolutionConfig:
     steps: int
     params: PhysicalParams
     potential: PotentialSpec
-    scheme: str = "split_step_spectral"
     snapshot_stride: int = 1
 
     def __post_init__(self):
@@ -56,8 +58,6 @@ class EvolutionConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
-        if self.scheme != "split_step_spectral":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     def check_stability(self, grid: Grid) -> None:
         # Guard against aliasing of the kinetic phase factor at the grid's
@@ -127,14 +127,31 @@ def lambda_energy(psi: Wavefunction, potential: PotentialSpec,
     return e - (1.0 - params.lam) * int_rho_q
 
 
-def _effective_potential(psi_values: np.ndarray, v: np.ndarray, grid: Grid,
-                         params: PhysicalParams):
-    """V plus the (lam - 1)-weighted quantum potential of |psi|."""
-    if params.lam == 1.0:
-        return v, 0.0
-    R = np.abs(psi_values)
-    q = quantum_potential_from_abs(R, grid, params)
-    return v + (params.lam - 1.0) * q, float(np.max(np.abs(q)))
+def _split_step(psi: np.ndarray, kinetic: np.ndarray, steps: int,
+                half_kick=None, axes=None):
+    """Strang split-step propagation of the field array psi.
+
+    Each step is half kick, `kinetic` factor applied in Fourier space over
+    `axes` (None: all axes), half kick.  half_kick(psi) returns the phase
+    factor of a half-step kick for the field in its current representation;
+    without it the steps are free flight.  A kick changes only the phase,
+    so the factor that closes one step also opens the next: half_kick runs
+    once here, before the first step, and then once per step.  Returns an
+    iterator over the field after each step.
+    """
+    factor = None if half_kick is None else half_kick(psi)
+
+    def run(psi, factor):
+        for _ in range(steps):
+            if factor is not None:
+                psi = psi * factor
+            psi = np.fft.ifftn(kinetic * np.fft.fftn(psi, axes=axes), axes=axes)
+            if half_kick is not None:
+                factor = half_kick(psi)
+                psi = psi * factor
+            yield psi
+
+    return run(psi, factor)
 
 
 def evolve(psi0: Wavefunction, cfg: EvolutionConfig) -> EvolutionTrace:
@@ -150,32 +167,41 @@ def evolve(psi0: Wavefunction, cfg: EvolutionConfig) -> EvolutionTrace:
     v = cfg.potential.evaluate(grid)
     kinetic_phase = np.exp(-1j * params.hbar * grid.ksq() * cfg.dt / (2.0 * params.m))
 
-    psi = psi0.normalized().values
-    t = float(psi0.t)
+    if params.lam == 1.0:
+        half = np.exp(-0.5j * v * cfg.dt / params.hbar)
+        max_q = [0.0]
 
+        def half_kick(cur_psi):
+            return half
+    else:
+        # max |Q| of each kick evaluation: entry 0 at the start, entry n at
+        # the end of step n, so step n spans entries n - 1 and n
+        max_q = []
+
+        def half_kick(cur_psi):
+            q = quantum_potential_from_abs(np.abs(cur_psi), grid, params)
+            max_q.append(float(np.max(np.abs(q))))
+            veff = v + (params.lam - 1.0) * q
+            return np.exp(-0.5j * veff * cfg.dt / params.hbar)
+
+    psi = psi0.normalized().values
     trace = EvolutionTrace()
 
-    def snap(cur_psi, cur_t, max_q):
+    def snap(cur_psi, cur_t, q):
         wf = Wavefunction(grid, cur_psi.copy(), cur_t)
         trace.snapshots.append(Snapshot(
             t=cur_t, psi=wf, norm=wf.norm,
             energy=energy_expectation(wf, cfg.potential, params),
-            max_q=max_q,
+            max_q=q,
         ))
 
-    _, q0 = _effective_potential(psi, v, grid, params)
-    snap(psi, t, q0)
+    stepper = _split_step(psi, kinetic_phase, cfg.steps, half_kick)
+    snap(psi, float(psi0.t), max_q[0])
     prev_norm = 1.0
     e_lam0 = (lambda_energy(trace.snapshots[0].psi, cfg.potential, params)
               if params.lam < 1.0 else None)
 
-    for step in range(1, cfg.steps + 1):
-        veff, max_q = _effective_potential(psi, v, grid, params)
-        psi = psi * np.exp(-0.5j * veff * cfg.dt / params.hbar)
-        psi = np.fft.ifftn(kinetic_phase * np.fft.fftn(psi))
-        veff, max_q2 = _effective_potential(psi, v, grid, params)
-        max_q = max(max_q, max_q2)
-        psi = psi * np.exp(-0.5j * veff * cfg.dt / params.hbar)
+    for step, psi in enumerate(stepper, 1):
         t = float(psi0.t) + step * cfg.dt
 
         if not np.all(np.isfinite(psi.view(float))):
@@ -193,7 +219,7 @@ def evolve(psi0: Wavefunction, cfg: EvolutionConfig) -> EvolutionTrace:
         prev_norm = norm
 
         if step % cfg.snapshot_stride == 0:
-            snap(psi, t, max_q)
+            snap(psi, t, max(max_q[-2:]))
             if params.lam < 1.0:
                 # the propagator is unitary even at lam < 1, so caustic
                 # formation shows up as drift of the conserved lam-energy,
@@ -287,20 +313,3 @@ def lambda_sweep(psi0: Wavefunction, cfg_base: EvolutionConfig, lambdas,
             max_q_history=[s.max_q for s in trace.snapshots],
         ))
     return entries
-
-
-def relax_ground_state(grid: Grid, potential: PotentialSpec,
-                       params: PhysicalParams, dt: float = 1e-3,
-                       steps: int = 4000, seed: int = 0) -> Wavefunction:
-    """Imaginary-time relaxation onto the ground state (test fixtures only)."""
-    rng = np.random.default_rng(seed)
-    v = potential.evaluate(grid)
-    decay = np.exp(-params.hbar * grid.ksq() * dt / (2.0 * params.m))
-    psi = np.exp(-sum(c ** 2 for c in grid.meshgrid()))
-    psi = psi * (1.0 + 0.01 * rng.standard_normal(grid.shape))
-    for _ in range(steps):
-        psi = psi * np.exp(-0.5 * v * dt / params.hbar)
-        psi = np.fft.ifftn(decay * np.fft.fftn(psi)).real
-        psi = psi * np.exp(-0.5 * v * dt / params.hbar)
-        psi = psi / np.sqrt(np.sum(psi ** 2) * grid.cell_volume)
-    return Wavefunction(grid, psi.astype(complex), 0.0).normalized()

@@ -5,7 +5,10 @@ pointer coordinate y through the impulsive-readout interaction
 H_int = g * x * p_y, applied during a finite window.  In the mixed
 (x, k_y) representation this term is diagonal, so its propagator is an
 exact x-conditioned translation of the pointer: no operator-splitting
-error enters the amplification step.  Outcome registration is branch
+error enters the amplification step.  The field is therefore held in the
+(x, k_y) representation throughout and stepped by the split-step kernel
+of `dynamics` with its Fourier transform along x only; it is transformed
+back along y only for a snapshot.  Outcome registration is branch
 assignment of particle trajectories; frequencies reproduce the weights
 |c_k|^2 without any collapse rule.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import EvolutionTrace, Snapshot
+from .dynamics import EvolutionTrace, Snapshot, _split_step
 from .grid_field import Grid, PhysicalParams, Wavefunction
 from .trajectories import SdeConfig, integrate_bohmian, integrate_nelson
 from .ensemble import sample_density, chi2_against_target
@@ -127,29 +130,23 @@ def evolve_pointer(model: PointerModel, params: PhysicalParams,
     trace = EvolutionTrace()
 
     def snap(cur, t):
-        wf = Wavefunction(grid, cur.copy(), t)
+        wf = Wavefunction(grid, cur, t)
         trace.snapshots.append(Snapshot(t=t, psi=wf, norm=wf.norm,
                                         energy=0.0, max_q=0.0))
 
     snap(psi, 0.0)
-    t = 0.0
-    for step in range(1, n_couple + n_settle + 1):
-        coupled = step <= n_couple
-        spec_y = np.fft.fft(psi, axis=1)
-        if coupled:
-            spec_y = spec_y * couple_half
-        spec = np.fft.fft(spec_y, axis=0) * kin
-        spec_y = np.fft.ifft(spec, axis=0)
-        if coupled:
-            spec_y = spec_y * couple_half
-        psi = np.fft.ifft(spec_y, axis=1)
-        t = step * dt
-        if not np.all(np.isfinite(psi.view(float))):
-            raise MeasurementError(f"non-finite field at t={t:.4g}")
-        if step % snapshot_stride == 0:
-            snap(psi, t)
-    if (n_couple + n_settle) % snapshot_stride != 0:
-        snap(psi, t)
+    mixed = np.fft.fft(psi, axis=1)   # (x, k_y) representation
+    step = 0
+    for epoch_steps, kick in ((n_couple, lambda _: couple_half),
+                              (n_settle, None)):
+        for mixed in _split_step(mixed, kin, epoch_steps, kick, axes=(0,)):
+            step += 1
+            if not np.all(np.isfinite(mixed.view(float))):
+                raise MeasurementError(f"non-finite field at t={step * dt:.4g}")
+            if step % snapshot_stride == 0:
+                snap(np.fft.ifft(mixed, axis=1), step * dt)
+    if step % snapshot_stride != 0:
+        snap(np.fft.ifft(mixed, axis=1), step * dt)
     return trace
 
 

@@ -1,5 +1,5 @@
-"""Dependency-free SVG emission for series, multi-series and trajectory
-overlay plots.  Deliberately minimal: axes, ticks, labels, legend."""
+"""Dependency-free SVG emission for series and multi-series plots.
+Deliberately minimal: axes, ticks, labels, legend."""
 
 from __future__ import annotations
 
@@ -93,34 +93,6 @@ def line_plot(series, path, title="", xlabel="x", ylabel="y"):
         parts.append(f'<text x="{W-MR-6}" y="{MT+14+14*i}" text-anchor="end" '
                      f'font-size="11" font-family="sans-serif" fill="{color}">'
                      f'{label}</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
-def trajectory_plot(ensemble, density, grid, path, title="", max_paths=60):
-    """Overlay sample paths on a grayscale density strip (1D fields)."""
-    if ensemble.n_trajectories == 0:
-        raise PlotError("empty ensemble")
-    xs = grid.axis_coords
-    parts = _header(title)
-    tlo, thi = float(ensemble.times[0]), float(ensemble.times[-1])
-    ax, sx, sy = _axes(tlo, thi, float(xs[0]), float(xs[-1]), "t", "x")
-    parts += ax
-    # density strip along the right edge
-    rho = np.asarray(density, dtype=float)
-    rho = rho / (rho.max() or 1.0)
-    strip_w = 10
-    for j, x in enumerate(xs):
-        shade = int(255 * (1.0 - rho[j]))
-        y0 = float(sy(x))
-        parts.append(f'<rect x="{W-MR-strip_w}" y="{y0-1.5:.1f}" '
-                     f'width="{strip_w}" height="3" '
-                     f'fill="rgb({shade},{shade},{shade})"/>')
-    step = max(1, ensemble.n_trajectories // max_paths)
-    for i in range(0, ensemble.n_trajectories, step):
-        parts.append(_polyline(ensemble.times, ensemble.positions[i, :, 0],
-                               sx, sy, "#1f77b477"))
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -44,15 +44,12 @@ class SdeConfig:
     rng_seed: int
     steps: Optional[int] = None  # required for static (single-frame) traces
     nu: Optional[float] = None   # default hbar/(2m) from the params in use
-    interpolation: str = "linear"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.nu is not None and self.nu < 0:
             raise ValueError("diffusion coefficient must be nonnegative")
-        if self.interpolation not in ("linear", "spectral_eval"):
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
 
 
 @dataclass
@@ -97,16 +94,13 @@ def velocity_field(psi_values: np.ndarray, grid: Grid, params: PhysicalParams,
     return VelocityField(grid=grid, v=tuple(v), u=tuple(u), valid_mask=~mask)
 
 
-def interpolate_grid(field: np.ndarray, grid: Grid, points: np.ndarray,
-                     scheme: str = "linear") -> np.ndarray:
+def interpolate_grid(field: np.ndarray, grid: Grid,
+                     points: np.ndarray) -> np.ndarray:
     """Evaluate a gridded field at arbitrary positions (periodic).
 
-    points: array (..., dim).  linear = multilinear with periodic wrap;
-    spectral_eval sums the full Fourier series (exact, O(grid) per point).
+    points: array (..., dim); multilinear interpolation with periodic wrap.
     """
     pts = np.atleast_2d(points)
-    if scheme == "spectral_eval":
-        return _spectral_eval(field, grid, pts)
     frac = (pts + 0.5 * grid.length) / grid.dx  # fractional index
     base = np.floor(frac).astype(int)
     w = frac - base
@@ -126,20 +120,6 @@ def interpolate_grid(field: np.ndarray, grid: Grid, points: np.ndarray,
             + field[i1, j0] * wx * (1 - wy)
             + field[i0, j1] * (1 - wx) * wy
             + field[i1, j1] * wx * wy)
-
-
-def _spectral_eval(field: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
-    spec = np.fft.fftn(field) / grid.size
-    if grid.dim == 1:
-        k = 2.0 * np.pi * np.fft.fftfreq(grid.npoints, d=grid.dx)
-        phases = np.exp(1j * np.outer(pts[:, 0] + 0.5 * grid.length, k))
-        out = phases @ spec
-    else:
-        k = 2.0 * np.pi * np.fft.fftfreq(grid.npoints, d=grid.dx)
-        px = np.exp(1j * np.outer(pts[:, 0] + 0.5 * grid.length, k))
-        py = np.exp(1j * np.outer(pts[:, 1] + 0.5 * grid.length, k))
-        out = np.einsum("pi,ij,pj->p", px, spec, py)
-    return out if np.iscomplexobj(field) else out.real
 
 
 class FrameInterpolator:
@@ -178,37 +158,29 @@ class FrameInterpolator:
         return vf
 
 
-def bohm_velocity(psi_frame: Wavefunction, x, params: PhysicalParams,
-                  interpolation: str = "linear") -> np.ndarray:
-    """Pilot-wave velocity (hbar/m) Im(grad psi / psi) at position(s) x."""
-    vf = velocity_field(psi_frame.values, psi_frame.grid, params)
-    pts = np.atleast_2d(x)
-    out = np.stack([interpolate_grid(vf.v[ax], psi_frame.grid, pts, interpolation)
-                    for ax in range(psi_frame.grid.dim)], axis=-1)
-    return out[0] if np.ndim(x) <= 1 else out
-
-
-def nelson_drift(psi_frame: Wavefunction, x, params: PhysicalParams,
-                 interpolation: str = "linear") -> np.ndarray:
-    """Forward drift b = v + u at position(s) x."""
-    vf = velocity_field(psi_frame.values, psi_frame.grid, params)
+def _velocity(vf: VelocityField, x, osmotic: bool) -> np.ndarray:
+    """Current velocity v, or with `osmotic` the forward drift b = v + u,
+    interpolated at position(s) x."""
     pts = np.atleast_2d(x)
     out = np.stack([
-        interpolate_grid(vf.v[ax] + vf.u[ax], psi_frame.grid, pts, interpolation)
-        for ax in range(psi_frame.grid.dim)], axis=-1)
+        interpolate_grid(vf.v[ax] + vf.u[ax] if osmotic else vf.v[ax],
+                         vf.grid, pts)
+        for ax in range(vf.grid.dim)], axis=-1)
     return out[0] if np.ndim(x) <= 1 else out
 
 
-def _eval_velocity(interp: FrameInterpolator, t: float, q: np.ndarray,
-                   osmotic: bool, drift_extra, interpolation: str) -> np.ndarray:
-    vf = interp.velocity_at(t)
-    out = np.empty_like(q)
-    for ax in range(interp.grid.dim):
-        fieldv = vf.v[ax] + vf.u[ax] if osmotic else vf.v[ax]
-        out[:, ax] = interpolate_grid(fieldv, interp.grid, q, interpolation)
-    if drift_extra is not None:
-        out = out + drift_extra(t, q)
-    return out
+def bohm_velocity(psi_frame: Wavefunction, x,
+                  params: PhysicalParams) -> np.ndarray:
+    """Pilot-wave velocity (hbar/m) Im(grad psi / psi) at position(s) x."""
+    vf = velocity_field(psi_frame.values, psi_frame.grid, params)
+    return _velocity(vf, x, osmotic=False)
+
+
+def nelson_drift(psi_frame: Wavefunction, x,
+                 params: PhysicalParams) -> np.ndarray:
+    """Forward drift b = v + u at position(s) x."""
+    vf = velocity_field(psi_frame.values, psi_frame.grid, params)
+    return _velocity(vf, x, osmotic=True)
 
 
 def _node_check(interp: FrameInterpolator, t: float, q: np.ndarray) -> np.ndarray:
@@ -235,8 +207,7 @@ def _resolve_steps(interp: FrameInterpolator, dt: float, steps: Optional[int]):
 
 def integrate_bohmian(trace: EvolutionTrace, q0_list, dt: float,
                       params: PhysicalParams, steps: Optional[int] = None,
-                      drift_extra: Optional[Callable] = None,
-                      interpolation: str = "linear") -> TrajectoryEnsemble:
+                      drift_extra: Optional[Callable] = None) -> TrajectoryEnsemble:
     """RK4 integration of the pilot-wave velocity through the trace frames.
 
     Deterministic: identical inputs give bit-identical paths.  Particles
@@ -257,7 +228,8 @@ def integrate_bohmian(trace: EvolutionTrace, q0_list, dt: float,
     flags = np.zeros(npart, dtype=bool)
 
     def vel(t, qq):
-        return _eval_velocity(interp, t, qq, False, drift_extra, interpolation)
+        out = _velocity(interp.velocity_at(t), qq, osmotic=False)
+        return out if drift_extra is None else out + drift_extra(t, qq)
 
     t = t0
     for i in range(1, nsteps + 1):
@@ -322,10 +294,10 @@ def integrate_nelson(trace: EvolutionTrace, q0_list, cfg: SdeConfig,
         flags |= _node_check(interp, t, q)
         if drift_override == "zero":
             b = np.zeros_like(q)
-            if drift_extra is not None:
-                b = b + drift_extra(t, q)
         else:
-            b = _eval_velocity(interp, t, q, True, drift_extra, cfg.interpolation)
+            b = _velocity(interp.velocity_at(t), q, osmotic=True)
+        if drift_extra is not None:
+            b = b + drift_extra(t, q)
         q = grid.wrap(q + b * cfg.dt + amp * noise)
         positions[:, i, :] = q
         t = t0 + i * cfg.dt

@@ -100,3 +100,35 @@ def gaussian_quantum_potential(x: np.ndarray, s0: float = 1.0, m: float = 1.0,
     Q = (hbar^2 / 2m) * (1/(2 s0^2) - x^2/(4 s0^4))."""
     return (hbar ** 2 / (2.0 * m)) * (1.0 / (2.0 * s0 ** 2)
                                       - x ** 2 / (4.0 * s0 ** 4))
+
+
+def two_evaluation_lambda_evolve(psi0: np.ndarray, length: float,
+                                 v: np.ndarray, dt: float, steps: int,
+                                 lam: float, quantum_potential,
+                                 stride: int = 1, m: float = 1.0,
+                                 hbar: float = 1.0):
+    """1D Strang split step for lam-dynamics that evaluates the quantum
+    potential afresh at both half kicks of every step (twice per step).
+
+    quantum_potential(R) returns Q of an amplitude field R.  Returns the
+    final field and max |Q| for the initial state and for every `stride`-th
+    step, where a step's value is the larger of its two evaluations.
+    """
+    n = len(psi0)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+    kinetic = np.exp(-1j * hbar * k ** 2 * dt / (2.0 * m))
+
+    def half_kick(psi):
+        q = quantum_potential(np.abs(psi))
+        veff = v + (lam - 1.0) * q
+        return psi * np.exp(-0.5j * veff * dt / hbar), float(np.max(np.abs(q)))
+
+    psi = np.asarray(psi0, dtype=complex)
+    max_q = [float(np.max(np.abs(quantum_potential(np.abs(psi)))))]
+    for step in range(1, steps + 1):
+        psi, q_start = half_kick(psi)
+        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
+        psi, q_end = half_kick(psi)
+        if step % stride == 0:
+            max_q.append(max(q_start, q_end))
+    return psi, max_q

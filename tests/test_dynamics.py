@@ -18,8 +18,14 @@ from sllab.grid_field import (
     harmonic_ground_state,
     make_grid,
     polar_decompose,
+    quantum_potential_from_abs,
 )
-from oracles import crank_nicolson_evolve, free_gaussian_width, madelung_evolve
+from oracles import (
+    crank_nicolson_evolve,
+    free_gaussian_width,
+    madelung_evolve,
+    two_evaluation_lambda_evolve,
+)
 
 QUANTUM = PhysicalParams.quantum()
 
@@ -42,11 +48,6 @@ class TestConfig:
         cfg = _cfg(1e-2, 10)
         with pytest.raises(ValueError, match="kinetic sampling"):
             evolve(gaussian_packet(g), cfg)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            EvolutionConfig(dt=1e-3, steps=1, params=QUANTUM,
-                            potential=PotentialSpec.free(), scheme="euler")
 
 
 class TestQuantumRegime:
@@ -123,6 +124,28 @@ class TestLambdaRegimes:
         core = np.abs(g.axis_coords) <= 5.0
         err = np.max(np.abs(trace.final().density() - rho_ref)[core])
         assert err < 1e-5
+
+    def test_single_q_evaluation_matches_two_evaluation_step(self):
+        # the kernel reuses the kick factor that closes one step to open
+        # the next; a reference that re-evaluates Q at every half kick must
+        # agree to rounding.  max |Q| sits at the node-mask edge
+        # (R = 1e-6 max R), where lap R / R magnifies rounding ~1e6-fold:
+        # a 1e-16 phase jitter of psi0 moves the reference's own values by
+        # 3e-8, while reporting only the end-of-step Q moves them by 2e-4
+        lam = 0.5
+        g = make_grid(1, 40.0, 256)
+        left = gaussian_packet(g, center=-4.0)
+        right = gaussian_packet(g, center=+4.0)
+        psi0 = Wavefunction(g, left.values + right.values).normalized()
+        params = QUANTUM.with_lambda(lam)
+        trace = evolve(psi0, _cfg(1e-3, 300, params=params, stride=10))
+        ref_psi, ref_max_q = two_evaluation_lambda_evolve(
+            psi0.values, g.length, np.zeros(g.npoints), 1e-3, 300, lam,
+            lambda R: quantum_potential_from_abs(R, g, params), stride=10)
+        assert np.max(np.abs(trace.final().values - ref_psi)) < 1e-12
+        got_max_q = [s.max_q for s in trace.snapshots]
+        assert len(got_max_q) == len(ref_max_q) == 31
+        assert got_max_q == pytest.approx(ref_max_q, rel=1e-7)
 
     def test_classical_caustic_aborts(self):
         # converging classical flow focuses into a caustic; the conserved

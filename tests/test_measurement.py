@@ -65,6 +65,19 @@ class TestEvolution:
         expected = model.expected_pointer_centers()[0]
         assert up == pytest.approx(expected, rel=0.1)
 
+    def test_snapshot_stride_leaves_field_unchanged(self):
+        # the field stays in the (x, k_y) representation between steps, so
+        # snapshots only read it; 120 steps are not a multiple of 7
+        model = _model()
+        every = evolve_pointer(model, QUANTUM, dt=5e-3, snapshot_stride=1)
+        strided = evolve_pointer(model, QUANTUM, dt=5e-3, snapshot_stride=7)
+        assert len(every.snapshots) == 121
+        assert len(strided.snapshots) == 1 + 120 // 7 + 1
+        assert strided.snapshots[-1].t == pytest.approx(
+            model.t_coupling + model.t_settle, abs=1e-12)
+        assert np.max(np.abs(strided.final().values
+                             - every.final().values)) < 1e-13
+
 
 class TestBranchAssignment:
     def test_ambiguous_band(self):

@@ -65,14 +65,6 @@ class TestInterpolation:
         out = interpolate_grid(f, g, pts)
         assert np.allclose(out, f[:5], atol=1e-12)
 
-    def test_spectral_eval_exact_on_band_limited(self):
-        g = make_grid(1, 20.0, 64)
-        k = 2.0 * np.pi / g.length * 3
-        f = np.cos(k * g.axis_coords)
-        pts = np.array([[0.123], [-4.56], [7.89]])
-        out = interpolate_grid(f, g, pts, scheme="spectral_eval")
-        assert np.allclose(out, np.cos(k * pts[:, 0]), atol=1e-10)
-
     def test_linear_periodic_wrap(self):
         g = make_grid(1, 20.0, 64)
         f = np.arange(64, dtype=float)
@@ -191,8 +183,6 @@ class TestNelson:
             SdeConfig(dt=-1.0, rng_seed=0)
         with pytest.raises(ValueError):
             SdeConfig(dt=1e-2, rng_seed=0, nu=-0.5)
-        with pytest.raises(ValueError):
-            SdeConfig(dt=1e-2, rng_seed=0, interpolation="cubic")
 
     @given(seed=st.integers(0, 2 ** 31))
     @settings(max_examples=10)
