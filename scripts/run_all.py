@@ -11,7 +11,8 @@ import sys
 import time
 from pathlib import Path
 
-from sllab.experiments import NumericalAbort, load_config, run_experiment
+from sllab.experiments import (ConfigError, NumericalAbort, load_config,
+                               run_experiment)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,20 +25,22 @@ def main():
 
     results = []
     for cfg_path in sorted((ROOT / "configs").glob("*.json")):
-        cfg = load_config(cfg_path)
-        if cfg.experiment in args.skip or cfg_path.stem in args.skip:
+        if cfg_path.stem in args.skip:
             continue
-        out = args.out_root / cfg_path.stem
         t0 = time.time()
+        error = ""
         try:
-            summary = run_experiment(cfg, out)
-            ok = summary["passed"]
+            cfg = load_config(cfg_path)
+            if cfg.experiment in args.skip:
+                continue
+            ok = run_experiment(cfg, args.out_root / cfg_path.stem)["passed"]
+        except ConfigError as exc:
+            ok, error = False, f"  config error: {exc}"
         except NumericalAbort as exc:
-            print(f"{cfg_path.stem}: numerical abort: {exc}", file=sys.stderr)
-            ok = False
+            ok, error = False, f"  numerical abort: {exc}"
         results.append((cfg_path.stem, ok, time.time() - t0))
         print(f"{cfg_path.stem:28s} {'pass' if ok else 'FAIL':4s} "
-              f"{results[-1][2]:7.1f}s")
+              f"{results[-1][2]:7.1f}s{error}")
 
     failed = [name for name, ok, _ in results if not ok]
     print(f"\n{len(results) - len(failed)}/{len(results)} passed")

@@ -33,7 +33,9 @@ def _apply_threads(threads):
         if n < 1:
             raise ValueError
     except ValueError:
-        raise SystemExit(f"invalid thread count {threads!r}")
+        print(f"config error: invalid thread count {threads!r}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_CONFIG)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(n)
 
@@ -42,7 +44,8 @@ def _build_parser():
     ap = argparse.ArgumentParser(prog="sllab",
                                  description="stochastic-mechanics lab")
     ap.add_argument("--threads", default=None,
-                    help="BLAS/FFT thread cap (or env SLLAB_THREADS)")
+                    help="sets the OMP/OpenBLAS/MKL thread variables (or "
+                         "env SLLAB_THREADS); see README")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     run = sub.add_parser("run", help="execute an experiment config")
@@ -65,23 +68,22 @@ def _build_parser():
     return ap
 
 
-def _cmd_run(args) -> int:
+def _load(args):
+    """The config at `args.config` with `--seed` applied (checked, too)."""
     import dataclasses
 
-    from .experiments import (ConfigError, NumericalAbort, load_config,
-                              run_experiment)
+    from .experiments import load_config
 
-    try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    if getattr(args, "seed", None) is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    return cfg
 
+
+def _cmd_run(args) -> int:
+    from .experiments import NumericalAbort, run_experiment
+
+    cfg = _load(args)
     out = args.out or Path("runs") / cfg.experiment
     try:
         summary = run_experiment(cfg, out)
@@ -105,16 +107,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .experiments import ConfigError, load_config
-
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(args)
     print(f"ok: experiment={cfg.experiment} seed={cfg.seed} "
           f"hash={cfg.config_hash()[:12]}")
     return EXIT_OK
@@ -171,9 +164,15 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     _apply_threads(args.threads)
+    from .experiments import ConfigError
+
     handler = {"run": _cmd_run, "validate": _cmd_validate,
                "fixtures": _cmd_fixtures, "report": _cmd_report}[args.verb]
-    return handler(args)
+    try:
+        return handler(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

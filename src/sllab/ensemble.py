@@ -3,7 +3,7 @@ and the coarse-grained relaxation functional."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import stats
@@ -29,13 +29,7 @@ class EquilibriumReport:
     verdict: str
 
     def as_dict(self) -> dict:
-        return {
-            "chi2": self.chi2,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "max_abs_deviation": self.max_abs_deviation,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def sample_density(rho_on_grid: np.ndarray, grid: Grid, n: int, seed: int) -> np.ndarray:

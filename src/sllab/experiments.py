@@ -9,13 +9,15 @@ file embeds a timestamp.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -50,12 +52,12 @@ from .io_formats import (
     write_slf1,
     write_trajectories_csv,
 )
-from .measurement import MeasurementError, PointerModel, run_measurement
+from .fixtures import FIXTURE_NAMES
+from .measurement import (TRAJECTORY_KINDS, MeasurementError, PointerModel,
+                          evolve_pointer, read_out)
 from .svgplot import line_plot
 from .trajectories import SdeConfig, integrate_bohmian, integrate_nelson, \
     static_trace
-
-EXPERIMENTS = {}
 
 
 class ConfigError(ValueError):
@@ -68,31 +70,50 @@ class NumericalAbort(RuntimeError):
         self.diagnostic = diagnostic
 
 
-def _register(name):
+# name -> (runner(block, seed, out_dir) -> summary, block class, seed needed)
+Experiment = namedtuple("Experiment", "run params stochastic")
+EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def _register(name, params, stochastic=False):
     def deco(fn):
-        EXPERIMENTS[name] = fn
+        EXPERIMENTS[name] = Experiment(fn, params, stochastic)
         return fn
     return deco
 
 
-def _block(cls, raw: dict, where: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameter block for {where}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """`params` is the raw dict the config hash covers; `block` is the
+    parameter block checked and built from it, also by `replace`."""
+
     experiment: str
     seed: int | None = None
     params: dict = field(default_factory=dict)
+    block: object = field(init=False, repr=False, compare=False)
 
     TOP_KEYS = ("experiment", "seed", "params")
+
+    def __post_init__(self):
+        name = self.experiment
+        if not isinstance(name, str) or name not in EXPERIMENTS:
+            raise ConfigError(
+                f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
+        spec = EXPERIMENTS[name]
+        if self.seed is None:
+            if spec.stochastic:
+                raise ConfigError(f"experiment {name!r} is stochastic; seed "
+                                  "is mandatory")
+        elif type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be an object, got {self.params!r}")
+        unknown = set(self.params) - {f.name for f in fields(spec.params)}
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} in "
+                              f"experiment {name!r}")
+        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "block", spec.params(**self.params))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -101,18 +122,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
         if "experiment" not in doc:
             raise ConfigError("missing required key: experiment")
-        name = doc["experiment"]
-        if name not in EXPERIMENTS:
-            raise ConfigError(
-                f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
-        seed = doc.get("seed")
-        if name in STOCHASTIC_EXPERIMENTS and seed is None:
-            raise ConfigError(f"experiment {name!r} is stochastic; seed is "
-                              "mandatory")
-        cfg = cls(experiment=name, seed=seed, params=dict(doc.get("params", {})))
-        # validate the parameter block eagerly
-        _block(PARAM_BLOCKS[name], cfg.params, f"experiment {name!r}")
-        return cfg
+        return cls(experiment=doc["experiment"], seed=doc.get("seed"),
+                   params=doc.get("params", {}))
 
     def canonical(self) -> str:
         return json.dumps(
@@ -127,7 +138,9 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except ValueError as exc:   # not JSON, or not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -138,8 +151,54 @@ def load_config(path) -> ExperimentConfig:
 # blocks
 
 
+# accepted value types and their description, by the type of the default
+_TYPES = {int: ((int,), "an int"), float: ((int, float), "a finite number"),
+          str: ((str,), "a string")}
+
+
+def _typed(name: str, value, default):
+    """`value` checked against the type of `default` (a bool is never a
+    number); a tuple default takes a JSON list, returned as a tuple of
+    values typed like the default's first element."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_typed(f"{name}[{i}]", v, default[0])
+                     for i, v in enumerate(value))
+    accepted, what = _TYPES[type(default)]
+    if type(value) not in accepted or (type(value) is float
+                                       and not math.isfinite(value)):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _ranged(default, ok: Callable, what: str):
+    """A parameter field with its own range: `ok(value)` must hold."""
+    return field(default=default, metadata={"range": (ok, what)})
+
+
+_POSITIVE = (lambda v: not isinstance(v, (int, float)) or v > 0, "positive")
+
+
 @dataclass(frozen=True)
-class FreePacketParams:
+class _Params:
+    """Parameter block base: each value is typed like its default, and a
+    number must be positive unless its field is `_ranged`.  A field whose
+    default is None is checked by its range alone."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.default is not None:
+                value = _typed(f.name, value, f.default)
+                object.__setattr__(self, f.name, value)
+            ok, what = f.metadata.get("range", _POSITIVE)
+            if not ok(value):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class FreePacketParams(_Params):
     n: int = 512
     length: float = 40.0
     dt: float = 1e-3
@@ -148,7 +207,7 @@ class FreePacketParams:
 
 
 @dataclass(frozen=True)
-class EigenstateHoldParams:
+class EigenstateHoldParams(_Params):
     n: int = 512
     length: float = 40.0
     dt: float = 1e-3
@@ -157,18 +216,19 @@ class EigenstateHoldParams:
 
 
 @dataclass(frozen=True)
-class LambdaSweepParams:
+class LambdaSweepParams(_Params):
     n: int = 512
     length: float = 40.0
     dt: float = 1e-3
     t_final: float = 3.0
     separation: float = 8.0
     rho_width: float = 1.0
+    # the sweep itself checks the list: non-empty, in [0, 1], ascending
     lambdas: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
-class EquivarianceParams:
+class EquivarianceParams(_Params):
     n: int = 512
     length: float = 40.0
     dt: float = 1e-3
@@ -180,7 +240,7 @@ class EquivarianceParams:
 
 
 @dataclass(frozen=True)
-class NelsonBornParams:
+class NelsonBornParams(_Params):
     n: int = 256
     length: float = 20.0
     dt: float = 1e-3
@@ -191,7 +251,7 @@ class NelsonBornParams:
 
 
 @dataclass(frozen=True)
-class RelaxationParams:
+class RelaxationParams(_Params):
     n: int = 256
     length: float = 20.0
     dt: float = 1e-3
@@ -203,42 +263,33 @@ class RelaxationParams:
 
 
 @dataclass(frozen=True)
-class MeasurementParams:
+class MeasurementParams(_Params):
     n: int = 128
     length: float = 30.0
-    weight_a: float = 0.8
+    weight_a: float = _ranged(0.8, lambda v: 0 <= v <= 1, "in [0, 1]")
     n_traj: int = 10000
-    coupling: float = 6.0
-    kinds: tuple = ("bohmian", "nelson")
+    coupling: float = _ranged(6.0, lambda v: v >= 0, ">= 0")
+    kinds: tuple = _ranged(
+        ("bohmian", "nelson"),
+        lambda v: len(v) > 0 and set(v) <= set(TRAJECTORY_KINDS),
+        f"a non-empty list drawn from {list(TRAJECTORY_KINDS)}")
     dt: float = 5e-3
     traj_dt: float = 1e-2
 
 
 @dataclass(frozen=True)
-class ContextualityParams:
-    fixture: str = "pr_box"
-    model_path: str | None = None
-
-
-PARAM_BLOCKS = {
-    "free_packet": FreePacketParams,
-    "eigenstate_hold": EigenstateHoldParams,
-    "lambda_sweep": LambdaSweepParams,
-    "equivariance": EquivarianceParams,
-    "nelson_born": NelsonBornParams,
-    "relaxation": RelaxationParams,
-    "measurement": MeasurementParams,
-    "contextuality": ContextualityParams,
-}
-
-STOCHASTIC_EXPERIMENTS = {"equivariance", "nelson_born", "relaxation",
-                          "measurement"}
+class ContextualityParams(_Params):
+    fixture: str = _ranged("pr_box", lambda v: v in FIXTURE_NAMES,
+                           f"one of {list(FIXTURE_NAMES)}")
+    model_path: str | None = _ranged(
+        None, lambda v: v is None or isinstance(v, str) and os.path.isfile(v),
+        "null or the path of an existing file")
 
 
 # ---------------------------------------------------------------- runners
 
 
-@_register("free_packet")
+@_register("free_packet", FreePacketParams)
 def _run_free_packet(p: FreePacketParams, seed, out: Path) -> dict:
     grid = make_grid(1, p.length, p.n)
     params = PhysicalParams.quantum()
@@ -269,7 +320,7 @@ def _run_free_packet(p: FreePacketParams, seed, out: Path) -> dict:
     }
 
 
-@_register("eigenstate_hold")
+@_register("eigenstate_hold", EigenstateHoldParams)
 def _run_eigenstate_hold(p: EigenstateHoldParams, seed, out: Path) -> dict:
     grid = make_grid(1, p.length, p.n)
     params = PhysicalParams.quantum()
@@ -297,7 +348,7 @@ def _run_eigenstate_hold(p: EigenstateHoldParams, seed, out: Path) -> dict:
     }
 
 
-@_register("lambda_sweep")
+@_register("lambda_sweep", LambdaSweepParams)
 def _run_lambda_sweep(p: LambdaSweepParams, seed, out: Path) -> dict:
     grid = make_grid(1, p.length, p.n)
     params = PhysicalParams.quantum()
@@ -340,7 +391,7 @@ def _run_lambda_sweep(p: LambdaSweepParams, seed, out: Path) -> dict:
     }
 
 
-@_register("equivariance")
+@_register("equivariance", EquivarianceParams, stochastic=True)
 def _run_equivariance(p: EquivarianceParams, seed, out: Path) -> dict:
     grid = make_grid(1, p.length, p.n)
     params = PhysicalParams.quantum()
@@ -372,7 +423,7 @@ def _run_equivariance(p: EquivarianceParams, seed, out: Path) -> dict:
     }
 
 
-@_register("nelson_born")
+@_register("nelson_born", NelsonBornParams, stochastic=True)
 def _run_nelson_born(p: NelsonBornParams, seed, out: Path) -> dict:
     grid = make_grid(1, p.length, p.n)
     params = PhysicalParams.quantum()
@@ -404,7 +455,7 @@ def _run_nelson_born(p: NelsonBornParams, seed, out: Path) -> dict:
     }
 
 
-@_register("relaxation")
+@_register("relaxation", RelaxationParams, stochastic=True)
 def _run_relaxation(p: RelaxationParams, seed, out: Path) -> dict:
     grid = make_grid(1, p.length, p.n)
     params = PhysicalParams.quantum()
@@ -441,17 +492,17 @@ def _run_relaxation(p: RelaxationParams, seed, out: Path) -> dict:
     }
 
 
-@_register("measurement")
+@_register("measurement", MeasurementParams, stochastic=True)
 def _run_measurement(p: MeasurementParams, seed, out: Path) -> dict:
     grid = make_grid(2, p.length, p.n)
     params = PhysicalParams.quantum()
     c = (math.sqrt(p.weight_a), math.sqrt(1.0 - p.weight_a))
     model = PointerModel(grid=grid, c=c, coupling=p.coupling)
+    trace = evolve_pointer(model, params, dt=p.dt)
     reports = {}
     ok = True
     for kind in p.kinds:
-        rep = run_measurement(model, params, p.n_traj, seed, kind=kind,
-                              dt=p.dt, traj_dt=p.traj_dt)
+        rep = read_out(model, params, trace, p.n_traj, seed, kind, p.traj_dt)
         reports[kind] = rep.as_dict()
         ok = ok and rep.status == "pass" and rep.overlap < 0.01 \
             and rep.branch_norm_drift < 1e-6
@@ -464,7 +515,7 @@ def _run_measurement(p: MeasurementParams, seed, out: Path) -> dict:
     }
 
 
-@_register("contextuality")
+@_register("contextuality", ContextualityParams)
 def _run_contextuality(p: ContextualityParams, seed, out: Path) -> dict:
     from .contextuality import (
         check_no_signalling,
@@ -523,18 +574,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     summary.json next to the artifacts, with a manifest)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    p = _block(PARAM_BLOCKS[cfg.experiment], cfg.params,
-               f"experiment {cfg.experiment!r}")
-    runner = EXPERIMENTS[cfg.experiment]
     seed = cfg.seed if cfg.seed is not None else 0
     t0 = time.time()
     try:
-        summary = runner(p, seed, out)
+        summary = EXPERIMENTS[cfg.experiment].run(cfg.block, seed, out)
     except (EvolutionAbort, MeasurementError) as exc:
         diagnostic = {"experiment": cfg.experiment, "error": str(exc),
                       "config_hash": cfg.config_hash()}
         write_json(diagnostic, out / "abort.json")
         raise NumericalAbort(str(exc), diagnostic) from exc
+    except ValueError as exc:
+        # the domain's own checks: grid size, kinetic dt bound, lambda
+        # list, model contents
+        raise ConfigError(str(exc)) from exc
     elapsed = time.time() - t0
 
     summary = {

@@ -164,16 +164,6 @@ class PotentialSpec:
         return cls("harmonic", {"omega": omega, "m": m})
 
     @classmethod
-    def double_well(cls, a: float, b: float) -> "PotentialSpec":
-        """V = a*x^4 - b*x^2 (radial coordinate in 2D)."""
-        return cls("double_well", {"a": a, "b": b})
-
-    @classmethod
-    def barrier(cls, v0: float, width: float) -> "PotentialSpec":
-        """Gaussian barrier of height v0 and rms width `width` at the origin."""
-        return cls("barrier", {"v0": v0, "width": width})
-
-    @classmethod
     def custom(cls, fn: Callable) -> "PotentialSpec":
         return cls("custom", {"fn": fn})
 
@@ -184,11 +174,6 @@ class PotentialSpec:
             v = np.zeros(grid.shape)
         elif self.kind == "harmonic":
             v = 0.5 * self.params["m"] * self.params["omega"] ** 2 * rsq
-        elif self.kind == "double_well":
-            v = self.params["a"] * rsq ** 2 - self.params["b"] * rsq
-        elif self.kind == "barrier":
-            w = self.params["width"]
-            v = self.params["v0"] * np.exp(-0.5 * rsq / w ** 2)
         elif self.kind == "custom":
             v = np.asarray(self.params["fn"](*coords), dtype=float)
             if v.shape != grid.shape:
@@ -228,11 +213,6 @@ class Wavefunction:
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable, t: float = 0.0) -> "Wavefunction":
-        values = np.asarray(fn(*grid.meshgrid()), dtype=complex)
-        return cls(grid, values, t).normalized()
 
 
 @dataclass(frozen=True)

@@ -102,20 +102,6 @@ def write_trajectories_csv(ensemble, path, stride: int = 1) -> None:
                 writer.writerow(row)
 
 
-def ensemble_manifest(ensemble, extra: dict | None = None) -> dict:
-    doc = {
-        "kind": ensemble.kind,
-        "n_trajectories": int(ensemble.n_trajectories),
-        "seeds": [int(s) for s in np.unique(ensemble.seeds)],
-        "t_start": float(ensemble.times[0]),
-        "t_end": float(ensemble.times[-1]),
-        "flagged_node_region": int(ensemble.node_flags.sum()),
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
 def canonical_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
 

@@ -15,7 +15,7 @@ assignment of particle trajectories; frequencies reproduce the weights
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .dynamics import EvolutionTrace, Snapshot, _split_step
 from .grid_field import Grid, PhysicalParams, Wavefunction
 from .trajectories import SdeConfig, integrate_bohmian, integrate_nelson
 from .ensemble import sample_density, chi2_against_target
+
+
+TRAJECTORY_KINDS = ("bohmian", "nelson")
 
 
 class MeasurementError(RuntimeError):
@@ -59,14 +62,11 @@ class PointerModel:
             raise MeasurementError("branch amplitudes must satisfy sum |c|^2 = 1")
         object.__setattr__(self, "c", (complex(c[0]), complex(c[1])))
 
-    def branch_centers_x(self):
-        return (+self.x_sep, -self.x_sep)
-
     def expected_pointer_centers(self):
         shift = self.coupling * self.x_sep * self.t_coupling
         return (+shift, -shift)
 
-    def initial_state(self, hbar: float = 1.0) -> Wavefunction:
+    def initial_state(self) -> Wavefunction:
         x, y = self.grid.meshgrid()
         sys = (self.c[0] * np.exp(-(x - self.x_sep) ** 2 / (4 * self.system_width ** 2))
                + self.c[1] * np.exp(-(x + self.x_sep) ** 2 / (4 * self.system_width ** 2)))
@@ -90,20 +90,7 @@ class OutcomeReport:
     status: str
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_traj": self.n_traj,
-            "counts": self.counts,
-            "frequencies": self.frequencies,
-            "expected": self.expected,
-            "ci3sigma": self.ci3sigma,
-            "ambiguous": self.ambiguous,
-            "overlap": self.overlap,
-            "branch_centers": self.branch_centers,
-            "branch_norm_drift": self.branch_norm_drift,
-            "conditional_fit_p": self.conditional_fit_p,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 def evolve_pointer(model: PointerModel, params: PhysicalParams,
@@ -114,7 +101,7 @@ def evolve_pointer(model: PointerModel, params: PhysicalParams,
     grid = model.grid
     hbar, m = params.hbar, params.m
     mass_y = model.mass_ratio * m
-    psi = model.initial_state(hbar).values
+    psi = model.initial_state().values
 
     kx = grid.wavenumbers(0)
     ky = grid.wavenumbers(1)
@@ -225,15 +212,23 @@ def _branch_mass_drift(trace: EvolutionTrace, t_coupling: float) -> float:
 def run_measurement(model: PointerModel, params: PhysicalParams, n_traj: int,
                     seed: int, kind: str = "bohmian", dt: float = 5e-3,
                     traj_dt: float = 1e-2) -> OutcomeReport:
-    """Full readout: 2D evolution, trajectory transport, branch statistics.
+    """Full readout: 2D evolution, then `read_out` of one trajectory kind."""
+    trace = evolve_pointer(model, params, dt=dt)
+    return read_out(model, params, trace, n_traj, seed, kind, traj_dt)
+
+
+def read_out(model: PointerModel, params: PhysicalParams,
+             trace: EvolutionTrace, n_traj: int, seed: int, kind: str,
+             traj_dt: float) -> OutcomeReport:
+    """Trajectory transport through an evolved pointer trace and branch
+    statistics.
 
     Fails (raises MeasurementError) when branch overlap at assignment time
     exceeds 1% of probability mass; with no coupling there is a single
     pointer blob and the outcome is ill-defined by construction.
     """
-    if kind not in ("bohmian", "nelson"):
+    if kind not in TRAJECTORY_KINDS:
         raise MeasurementError(f"unknown trajectory kind {kind!r}")
-    trace = evolve_pointer(model, params, dt=dt)
     centers = _branch_centers_from_marginal(trace)
     if abs(centers[0] - centers[1]) <= model.dy_min:
         raise MeasurementError(
@@ -264,7 +259,7 @@ def run_measurement(model: PointerModel, params: PhysicalParams, n_traj: int,
 
     # effective collapse: branch-0 conditional x density vs the normalized
     # branch packet
-    cond_p = _conditional_branch_fit(model, params, ens, assign, trace)
+    cond_p = _conditional_branch_fit(model, ens, assign, trace, centers)
 
     drift = _branch_mass_drift(trace, model.t_coupling)
     ok = all(abs(f - e) <= w for f, e, w in zip(freqs, expected, ci))
@@ -277,7 +272,7 @@ def run_measurement(model: PointerModel, params: PhysicalParams, n_traj: int,
     )
 
 
-def _conditional_branch_fit(model, params, ens, assign, trace) -> float:
+def _conditional_branch_fit(model, ens, assign, trace, centers) -> float:
     grid = model.grid
     sel = assign == 0
     if sel.sum() < 200:
@@ -285,16 +280,11 @@ def _conditional_branch_fit(model, params, ens, assign, trace) -> float:
     xs = ens.final_positions()[sel, 0]
     final = trace.final()
     y = grid.axis_coords
-    centers = _branch_centers_from_marginal(trace)
     mid = 0.5 * (centers[0] + centers[1])
     # branch-restricted wave density in x, conditioned on the branch-0 side
     rho = final.density()
     side = y > mid
     rho_x = (rho[:, side].sum(axis=1) * grid.dx)
     rho_x = rho_x / (rho_x.sum() * grid.dx)
-    rep = chi2_against_target(xs, rho_x, _as_1d_grid(grid), bins=30)
-    return rep.p_value
-
-
-def _as_1d_grid(grid2d: Grid) -> Grid:
-    return Grid(dim=1, length=grid2d.length, npoints=grid2d.npoints)
+    grid_x = Grid(dim=1, length=grid.length, npoints=grid.npoints)
+    return chi2_against_target(xs, rho_x, grid_x, bins=30).p_value

@@ -58,7 +58,6 @@ class TrajectoryEnsemble:
 
     times: np.ndarray
     positions: np.ndarray
-    seeds: np.ndarray
     kind: str
     node_flags: np.ndarray  # particles that ever entered a node region
 
@@ -244,7 +243,6 @@ def integrate_bohmian(trace: EvolutionTrace, q0_list, dt: float,
 
     times = t0 + dt * np.arange(nsteps + 1)
     return TrajectoryEnsemble(times=times, positions=positions,
-                              seeds=np.zeros(npart, dtype=np.uint64),
                               kind="bohmian", node_flags=flags)
 
 
@@ -303,8 +301,7 @@ def integrate_nelson(trace: EvolutionTrace, q0_list, cfg: SdeConfig,
         t = t0 + i * cfg.dt
 
     times = t0 + cfg.dt * np.arange(nsteps + 1)
-    seeds = np.array([cfg.rng_seed] * npart, dtype=np.uint64)
-    return TrajectoryEnsemble(times=times, positions=positions, seeds=seeds,
+    return TrajectoryEnsemble(times=times, positions=positions,
                               kind="nelson", node_flags=flags)
 
 

@@ -1,7 +1,13 @@
+import dataclasses
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sllab import experiments as ex
 from sllab.cli import main
 
 
@@ -94,6 +100,116 @@ class TestReport:
 
 
 class TestThreads:
-    def test_invalid_thread_count(self):
-        with pytest.raises(SystemExit):
+    def test_invalid_thread_count(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["--threads", "zero", "fixtures", "list"])
+        assert exc.value.code == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def _doc(experiment, seed=None, **params):
+    doc = {"experiment": experiment, "params": params}
+    if seed is not None:
+        doc["seed"] = seed
+    return doc
+
+
+# (id, document, rejected by validate too): the domain rejects the grid,
+# dt-bound and lambda-list cases only when the run starts
+MALFORMED = [
+    ("empty_kinds", _doc("measurement", 7, kinds=[]), True),
+    ("zero_seeds", _doc("equivariance", 0, n_seeds=0), True),
+    ("n_string", _doc("free_packet", n="512"), True),
+    ("n_not_power_of_two", _doc("free_packet", n=100), False),
+    ("n_bool", _doc("free_packet", n=True), True),
+    ("dt_over_kinetic_bound", _doc("free_packet", dt=0.5), False),
+    ("t_final_nan", _doc("free_packet", t_final=math.nan), True),
+    ("t_final_zero", _doc("free_packet", t_final=0.0), True),
+    ("seed_negative", _doc("relaxation", -1), True),
+    ("seed_string", _doc("relaxation", "3"), True),
+    ("weight_above_one", _doc("measurement", 7, weight_a=1.5), True),
+    ("empty_lambdas", _doc("lambda_sweep", lambdas=[]), False),
+    ("unknown_kind", _doc("measurement", 7, kinds=["x"]), True),
+    ("zero_trajectories", _doc("nelson_born", 11, n_traj=0), True),
+    ("unknown_fixture", _doc("contextuality", fixture="nope"), True),
+    ("missing_model_file",
+     _doc("contextuality", model_path="no/such/model.json"), True),
+    ("params_not_object",
+     {"experiment": "free_packet", "params": [1]}, True),
+]
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("doc,in_validate",
+                             [m[1:] for m in MALFORMED],
+                             ids=[m[0] for m in MALFORMED])
+    def test_exit_2_without_traceback(self, tmp_path, capsys, doc,
+                                      in_validate):
+        p = _cfg(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", p, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()
+        assert main(["validate", p]) == (2 if in_validate else 0)
+
+
+BLOCKS = {
+    "free_packet": ex.FreePacketParams,
+    "eigenstate_hold": ex.EigenstateHoldParams,
+    "lambda_sweep": ex.LambdaSweepParams,
+    "equivariance": ex.EquivarianceParams,
+    "nelson_born": ex.NelsonBornParams,
+    "relaxation": ex.RelaxationParams,
+    "measurement": ex.MeasurementParams,
+    "contextuality": ex.ContextualityParams,
+}
+
+_VALUES = st.one_of(
+    st.booleans(), st.none(), st.integers(-3, 2 ** 12),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8),
+    st.lists(st.one_of(st.integers(-2, 2), st.floats(-2, 2),
+                       st.text(max_size=4)), max_size=3))
+
+
+def _breaks_type_rule(default, value):
+    """True when `value` plainly cannot stand for a field with `default`:
+    the wrong JSON type, a bool or a non-finite float for a number, a
+    float for an int, or a wrongly typed list element."""
+    if default is None:
+        return False
+    if isinstance(default, tuple):
+        return not isinstance(value, list) or any(
+            _breaks_type_rule(default[0], v) for v in value)
+    if isinstance(default, str):
+        return not isinstance(value, str)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return True
+    if isinstance(value, float):
+        return isinstance(default, int) or not math.isfinite(value)
+    return False
+
+
+class TestFuzzedParams:
+    @pytest.mark.parametrize("experiment", sorted(BLOCKS))
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_validate_and_run_agree(self, experiment, data):
+        names = [f.name for f in dataclasses.fields(BLOCKS[experiment])]
+        params = data.draw(st.dictionaries(st.sampled_from(names), _VALUES,
+                                           min_size=1, max_size=3))
+        doc = {"experiment": experiment, "seed": 1, "params": params}
+        with tempfile.TemporaryDirectory() as tmp:
+            p = _cfg(Path(tmp), doc)
+            code = main(["validate", p])
+            assert code in (0, 2)
+            defaults = {f.name: f.default
+                        for f in dataclasses.fields(BLOCKS[experiment])}
+            if any(_breaks_type_rule(defaults[k], v)
+                   for k, v in params.items()):
+                assert code == 2
+            if code == 2:
+                out = Path(tmp) / "out"
+                assert main(["run", p, "--out", str(out)]) == 2
+                assert not (out / "summary.json").exists()

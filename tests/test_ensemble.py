@@ -104,7 +104,7 @@ class TestEquivariance:
         g = make_grid(1, 20.0, 64)
         ens = TrajectoryEnsemble(
             times=np.array([0.0]), positions=np.zeros((10, 1, 1)),
-            seeds=np.zeros(10, dtype=np.uint64), kind="bohmian",
+            kind="bohmian",
             node_flags=np.zeros(10, dtype=bool))
         with pytest.raises(ValueError, match="1000"):
             equivariance_test(ens, gaussian_packet(g).density(), g, -1, bins=20)

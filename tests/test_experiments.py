@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from sllab import experiments, measurement
 from sllab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -51,6 +53,12 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(p)
 
+    def test_replace_is_checked(self):
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "relaxation", "seed": 5})
+        with pytest.raises(ConfigError, match="seed"):
+            dataclasses.replace(cfg, seed=-1)
+
     def test_config_hash_stable(self):
         a = ExperimentConfig.from_dict(
             {"experiment": "free_packet", "params": {"n": 64}})
@@ -97,3 +105,21 @@ class TestRuns:
         with pytest.raises(NumericalAbort):
             run_experiment(cfg, tmp_path / "out")
         assert (tmp_path / "out" / "abort.json").is_file()
+
+    def test_measurement_evolves_pointer_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = measurement.evolve_pointer
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(measurement, "evolve_pointer", counted)
+        monkeypatch.setattr(experiments, "evolve_pointer", counted,
+                            raising=False)
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "measurement", "seed": 7,
+            "params": {"n_traj": 300, "kinds": ["bohmian", "nelson"]}})
+        summary = run_experiment(cfg, tmp_path / "out")
+        assert set(summary["reports"]) == {"bohmian", "nelson"}
+        assert len(calls) == 1
