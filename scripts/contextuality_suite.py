@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Analyze every bundled empirical model: no-signalling audit, global
-sections, contextual fraction, decomposition/certificate, CHSH value."""
+sections, contextual fraction, decomposition/certificate, CHSH value,
+and the size and exactness method of each LP."""
 
 import sys
 
@@ -13,6 +14,11 @@ from sllab.contextuality import (
     noncontextual_decompose,
 )
 from sllab.fixtures import FIXTURE_NAMES, fixture_path
+
+
+def _lp(lp):
+    """LP size and how its answer was made exact."""
+    return f"LP {lp['rows']}x{lp['cols']}, {lp['method']}"
 
 
 def main():
@@ -30,13 +36,14 @@ def main():
         print(f"  no-signalling max violation: {ns.max_violation:.2e}")
         print(f"  global sections: {len(sections)}")
         print(f"  contextual fraction: {float(cf.fraction):.6f} "
-              f"(dual gap {cf.dual_gap:.1e})")
+              f"(dual gap {cf.dual_gap:.1e}; {_lp(cf.lp)})")
         if dec.feasible:
-            print("  noncontextual decomposition: feasible")
+            print(f"  noncontextual decomposition: feasible ({_lp(dec.lp)})")
         else:
             cert = dec.certificate
             print(f"  certificate: value {float(cert.value):.4f} > "
-                  f"classical bound {float(cert.classical_bound):.4f}")
+                  f"classical bound {float(cert.classical_bound):.4f} "
+                  f"({_lp(dec.lp)})")
         print(f"  CHSH: {chsh}")
     return 0
 

@@ -74,20 +74,37 @@ def _event_index(scenario: Scenario):
 
 
 def _assignment_matrix(scenario: Scenario):
-    """Incidence of deterministic assignments on events: column per
-    assignment g, row per event, entry 1 iff g restricts to the event."""
-    events, _ = _event_index(scenario)
+    """Incidence of deterministic assignments on events.
+
+    Returns the events, the assignments and their hits: hits[g] lists, one
+    per context, the index of the event that assignment g restricts to.
+    """
+    events, index = _event_index(scenario)
     assignments = list(scenario.global_assignments())
-    cols = []
-    for g in assignments:
-        col = [1 if tuple(g[o] for o in ctx) == outcome else 0
-               for ctx, outcome in events]
-        cols.append(col)
-    return events, assignments, cols
+    hits = [[index[(ctx, tuple(g[o] for o in ctx))]
+             for ctx in scenario.contexts] for g in assignments]
+    return events, assignments, hits
 
 
-def _model_vector(model: EmpiricalModel, events):
-    return [model.prob(ctx, outcome) for ctx, outcome in events]
+def _lp_inputs(model: EmpiricalModel):
+    """Events, assignments, hits, the 0/1 event-by-assignment matrix and
+    the model's event probabilities, after the size guard."""
+    scenario = model.scenario
+    if scenario.n_global_assignments() > LP_GUARD:
+        raise GuardExceeded("assignment space exceeds LP guard")
+    events, assignments, hits = _assignment_matrix(scenario)
+    rows = [[0] * len(assignments) for _ in events]
+    for g, hit in enumerate(hits):
+        for e in hit:
+            rows[e][g] = 1
+    p = [model.prob(ctx, outcome) for ctx, outcome in events]
+    return events, assignments, hits, rows, p
+
+
+def _lp_record(res: LpResult, rows) -> dict:
+    """Size, status and exactness method of one LP, for run reports."""
+    return {"rows": len(rows), "cols": len(rows[0]) if rows else 0,
+            "status": res.status, "method": res.method}
 
 
 @dataclass
@@ -109,10 +126,11 @@ class DecompositionResult:
     feasible: bool
     weights: list | None = None        # (assignment, weight) pairs
     certificate: Certificate | None = None
+    lp: dict | None = None             # see _lp_record
 
 
-def _normalize_certificate(y, events, cols, p):
-    vals = [sum(yi * cij for yi, cij in zip(y, col)) for col in cols]
+def _normalize_certificate(y, events, hits, p):
+    vals = [sum(y[e] for e in hit) for hit in hits]
     model_val = sum(yi * pi for yi, pi in zip(y, p))
     hi, lo = max(vals), min(vals)
     width = hi - lo
@@ -135,25 +153,19 @@ def _normalize_certificate(y, events, cols, p):
 def noncontextual_decompose(model: EmpiricalModel) -> DecompositionResult:
     """Convex decomposition into deterministic global assignments, or a
     separating Bell-type certificate from the LP dual."""
-    scenario = model.scenario
-    if scenario.n_global_assignments() > LP_GUARD:
-        raise GuardExceeded("assignment space exceeds LP guard")
-    events, assignments, cols = _assignment_matrix(scenario)
-    p = _model_vector(model, events)
-    exact = model.is_exact()
-    conv = (lambda v: Fraction(v)) if exact else float
+    events, assignments, hits, A_eq, p = _lp_inputs(model)
     nvar = len(assignments)
-    A_eq = [[conv(cols[g][e]) for g in range(nvar)] for e in range(len(events))]
-    b_eq = [conv(v) for v in p]
-    res = solve_lp([conv(0)] * nvar, A_eq=A_eq, b_eq=b_eq)
+    res = solve_lp([0] * nvar, A_eq=A_eq, b_eq=p)
+    lp = _lp_record(res, A_eq)
     if res.status == "optimal":
+        tol = 0 if model.is_exact() else 1e-12
         weights = [(assignments[g], res.x[g]) for g in range(nvar)
-                   if res.x[g] > (0 if exact else 1e-12)]
-        return DecompositionResult(feasible=True, weights=weights)
+                   if res.x[g] > tol]
+        return DecompositionResult(feasible=True, weights=weights, lp=lp)
     if res.status != "infeasible":
         raise RuntimeError(f"unexpected LP status {res.status}")
-    cert = _normalize_certificate(res.farkas, events, cols, p)
-    return DecompositionResult(feasible=False, certificate=cert)
+    cert = _normalize_certificate(res.farkas, events, hits, p)
+    return DecompositionResult(feasible=False, certificate=cert, lp=lp)
 
 
 @dataclass
@@ -162,35 +174,28 @@ class ContextualFractionResult:
     noncontextual_weight: object
     dual_gap: float
     subnormalized_weights: list
+    lp: dict                           # see _lp_record
 
 
 def contextual_fraction(model: EmpiricalModel) -> ContextualFractionResult:
     """1 minus the largest total weight of a subnormalized noncontextual
     part dominated by the model (LP relaxation; 0 iff noncontextual)."""
-    scenario = model.scenario
-    if scenario.n_global_assignments() > LP_GUARD:
-        raise GuardExceeded("assignment space exceeds LP guard")
-    events, assignments, cols = _assignment_matrix(scenario)
-    p = _model_vector(model, events)
-    exact = model.is_exact()
-    conv = (lambda v: Fraction(v)) if exact else float
+    _, assignments, _, A_ub, p = _lp_inputs(model)
     nvar = len(assignments)
-    A_ub = [[conv(cols[g][e]) for g in range(nvar)] for e in range(len(events))]
-    b_ub = [conv(v) for v in p]
-    c = [conv(1)] * nvar
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
+    res = solve_lp([1] * nvar, A_ub=A_ub, b_ub=p)
     if res.status != "optimal":
         raise RuntimeError(f"unexpected LP status {res.status}")
     weight = res.objective
-    dual_obj = sum(yi * bi for yi, bi in zip(res.dual, b_ub))
+    dual_obj = sum(yi * bi for yi, bi in zip(res.dual, p))
     gap = abs(float(dual_obj) - float(weight))
-    one = conv(1)
+    tol = 0 if model.is_exact() else 1e-12
     return ContextualFractionResult(
-        fraction=one - weight,
+        fraction=1 - weight,
         noncontextual_weight=weight,
         dual_gap=gap,
         subnormalized_weights=[(assignments[g], res.x[g]) for g in range(nvar)
-                               if res.x[g] > (0 if exact else 1e-12)],
+                               if res.x[g] > tol],
+        lp=_lp_record(res, A_ub),
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -116,15 +117,35 @@ class EmpiricalModel:
 
 def _parse_prob(value):
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:
+            raise ScenarioError(f"probability {value!r} is not a fraction")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"probability {value!r} is not a number")
     if isinstance(value, int):
         return Fraction(value)
-    return float(value)
+    if not math.isfinite(value):
+        raise ScenarioError(f"probability {value!r} is not finite")
+    return value
 
 
 def _format_prob(value):
     if isinstance(value, Rational) and not isinstance(value, int):
         return str(Fraction(value))
+    return value
+
+
+def _field(doc, key, kind, where):
+    """doc[key], checked to be a `kind` (dict or list)."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where} is not an object")
+    if key not in doc:
+        raise ScenarioError(f"{where} has no {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{where}: {key!r} is not "
+                            f"{'an object' if kind is dict else 'a list'}")
     return value
 
 
@@ -136,20 +157,38 @@ def model_from_dict(doc: dict) -> EmpiricalModel:
      "tables": [{"context": ["A", "B"],
                  "probabilities": {"0,0": "1/2", ...}}, ...]}
 
-    Probabilities given as strings are parsed as exact fractions.
+    Probabilities given as strings are parsed as exact fractions.  A
+    document that does not follow the schema raises ScenarioError.
     """
-    scenario = Scenario(observables=doc["observables"],
-                        contexts=tuple(tuple(c) for c in doc["contexts"]))
+    observables = _field(doc, "observables", dict, "model")
+    contexts = _field(doc, "contexts", list, "model")
+    entries = _field(doc, "tables", list, "model")
+    for name, outs in observables.items():
+        if not isinstance(outs, list) or not all(
+                isinstance(o, (str, int, float)) for o in outs):
+            raise ScenarioError(f"observable {name!r}: outcomes must be a "
+                                "list of strings or numbers")
+    if not all(isinstance(c, list) and all(isinstance(o, str) for o in c)
+               for c in contexts):
+        raise ScenarioError("contexts must be lists of observable names")
+    scenario = Scenario(observables=observables,
+                        contexts=tuple(tuple(c) for c in contexts))
     outcome_types = {name: {str(o): o for o in outs}
                      for name, outs in scenario.observables.items()}
     tables = {}
-    for entry in doc["tables"]:
-        ctx = tuple(entry["context"])
+    for entry in entries:
+        ctx = tuple(_field(entry, "context", list, "table"))
+        probs = _field(entry, "probabilities", dict, f"table {ctx}")
+        if ctx not in scenario.contexts:
+            raise ScenarioError(f"table for unknown context {ctx}")
         table = {}
-        for key, val in entry["probabilities"].items():
+        for key, val in probs.items():
             parts = [s.strip() for s in key.split(",")]
             if len(parts) != len(ctx):
                 raise ScenarioError(f"outcome key {key!r} has wrong arity for {ctx}")
+            if any(p not in outcome_types[o] for o, p in zip(ctx, parts)):
+                raise ScenarioError(f"outcome key {key!r} has an unknown "
+                                    f"outcome for {ctx}")
             outcome = tuple(outcome_types[o][p] for o, p in zip(ctx, parts))
             table[outcome] = _parse_prob(val)
         tables[ctx] = table

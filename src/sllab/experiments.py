@@ -419,7 +419,7 @@ def _run_equivariance(p: EquivarianceParams, seed, out: Path) -> dict:
                  "(equivariance)",
         "passes": passes,
         "n_seeds": p.n_seeds,
-        "assertions": {"at_least_18_of_20": bool(passes >= 18 * p.n_seeds // 20)},
+        "assertions": {"at_least_18_of_20": bool(20 * passes >= 18 * p.n_seeds)},
     }
 
 
@@ -556,6 +556,7 @@ def _run_contextuality(p: ContextualityParams, seed, out: Path) -> dict:
                                         if dec.certificate else None),
         "chsh": chsh,
         "classification": classification,
+        "lp": {"contextual_fraction": cf.lp, "decomposition": dec.lp},
     }
     write_json(report, out / "analysis.json")
     return {

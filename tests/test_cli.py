@@ -114,8 +114,34 @@ def _doc(experiment, seed=None, **params):
     return doc
 
 
+@dataclasses.dataclass(frozen=True)
+class _ModelFile:
+    """Stands for the path of a model file holding `content`."""
+
+    content: object
+
+
+def _model(content):
+    return _doc("contextuality", model_path=_ModelFile(content))
+
+
+def _write_model(tmp_path, doc):
+    """Write a `_model` document's model file and put its path in place."""
+    params = doc.get("params")
+    if not (isinstance(params, dict)
+            and isinstance(params.get("model_path"), _ModelFile)):
+        return doc
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(params["model_path"].content))
+    return {**doc, "params": {**params, "model_path": str(path)}}
+
+
+_OBS = {"A": [0, 1]}
+_TABLE = {"context": ["A"], "probabilities": {"0": "1/2", "1": "1/2"}}
+
 # (id, document, rejected by validate too): the domain rejects the grid,
-# dt-bound and lambda-list cases only when the run starts
+# dt-bound and lambda-list cases, and a model file's contents, only when
+# the run starts
 MALFORMED = [
     ("empty_kinds", _doc("measurement", 7, kinds=[]), True),
     ("zero_seeds", _doc("equivariance", 0, n_seeds=0), True),
@@ -136,6 +162,29 @@ MALFORMED = [
      _doc("contextuality", model_path="no/such/model.json"), True),
     ("params_not_object",
      {"experiment": "free_packet", "params": [1]}, True),
+    ("model_only_contexts", _model({"contexts": []}), False),
+    ("model_no_observables",
+     _model({"contexts": [["A"]], "tables": [_TABLE]}), False),
+    ("model_no_tables", _model({"observables": _OBS, "contexts": [["A"]]}),
+     False),
+    ("model_table_no_context",
+     _model({"observables": _OBS, "contexts": [["A"]],
+             "tables": [{"probabilities": {"0": "1"}}]}), False),
+    ("model_table_no_probabilities",
+     _model({"observables": _OBS, "contexts": [["A"]],
+             "tables": [{"context": ["A"]}]}), False),
+    ("model_not_object", _model([1, 2]), False),
+    ("model_table_not_object",
+     _model({"observables": _OBS, "contexts": [["A"]], "tables": ["A"]}),
+     False),
+    ("model_unknown_outcome",
+     _model({"observables": _OBS, "contexts": [["A"]],
+             "tables": [{"context": ["A"], "probabilities": {"2": "1"}}]}),
+     False),
+    ("model_probability_not_number",
+     _model({"observables": _OBS, "contexts": [["A"]],
+             "tables": [{"context": ["A"], "probabilities": {"0": [1]}}]}),
+     False),
 ]
 
 
@@ -145,7 +194,7 @@ class TestMalformedConfigs:
                              ids=[m[0] for m in MALFORMED])
     def test_exit_2_without_traceback(self, tmp_path, capsys, doc,
                                       in_validate):
-        p = _cfg(tmp_path, doc)
+        p = _cfg(tmp_path, _write_model(tmp_path, doc))
         out = tmp_path / "out"
         assert main(["run", p, "--out", str(out)]) == 2
         err = capsys.readouterr().err

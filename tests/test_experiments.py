@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -96,6 +97,34 @@ class TestRuns:
         for name in manifest["checksums"]:
             assert sha256_file(tmp_path / "a" / name) == \
                 sha256_file(tmp_path / "b" / name), name
+
+    def test_contextuality_reports_its_lps(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "contextuality", "params": {"fixture": "pr_box"}})
+        run_experiment(cfg, tmp_path / "a")
+        run_experiment(cfg, tmp_path / "b")
+        for name in ("analysis.json", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
+        lp = json.loads((tmp_path / "a" / "analysis.json").read_text())["lp"]
+        assert lp == {
+            "contextual_fraction": {"rows": 16, "cols": 16,
+                                    "status": "optimal",
+                                    "method": "certificate"},
+            "decomposition": {"rows": 16, "cols": 16, "status": "infeasible",
+                              "method": "certificate"}}
+
+    def test_one_failed_seed_fails_equivariance(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            experiments, "equivariance_test",
+            lambda *a, **k: SimpleNamespace(chi2=99.0, dof=9, p_value=0.0))
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "equivariance", "seed": 0,
+            "params": {"n": 128, "t_final": 0.1, "n_traj": 200,
+                       "n_seeds": 1, "bins": 10}})
+        summary = run_experiment(cfg, tmp_path / "out")
+        assert summary["passes"] == 0
+        assert summary["assertions"]["at_least_18_of_20"] is False
 
     def test_numerical_abort_writes_diagnostic(self, tmp_path):
         # no coupling: pointer never splits, the run must abort cleanly

@@ -1,0 +1,142 @@
+"""The HiGHS-plus-certificate LP path against the exact Fraction tableau."""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from sllab.contextuality import (
+    EmpiricalModel,
+    Scenario,
+    contextual_fraction,
+    load_model,
+    noncontextual_decompose,
+)
+from sllab.contextuality import simplex
+from sllab.contextuality.simplex import solve_lp
+from sllab.fixtures import fixture_path
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _assert_exact_certificate(res, c, A_ub, b_ub, A_eq, b_eq):
+    """The optimality or infeasibility conditions, in Fractions."""
+    rows, rhs, n_ub = A_ub + A_eq, b_ub + b_eq, len(A_ub)
+    cols = list(zip(*rows)) if rows else [()] * len(c)
+    if res.status == "optimal":
+        x, y = res.x, res.dual
+        assert all(v >= 0 for v in x)
+        for i, row in enumerate(rows):
+            lhs = _dot(row, x)
+            assert lhs <= rhs[i] if i < n_ub else lhs == rhs[i]
+        assert all(v >= 0 for v in y[:n_ub])
+        assert all(_dot(y, col) >= cj for col, cj in zip(cols, c))
+        assert _dot(c, x) == _dot(rhs, y) == res.objective
+    elif res.status == "infeasible":
+        y = res.farkas
+        assert all(v <= 0 for v in y[:n_ub])
+        assert all(_dot(y, col) <= 0 for col in cols)
+        assert _dot(rhs, y) > 0
+
+
+_Q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _lps(draw):
+    n = draw(st.integers(1, 4))
+    row = st.lists(_Q, min_size=n, max_size=n)
+    A_ub = draw(st.lists(row, max_size=3))
+    A_eq = draw(st.lists(row, max_size=2))
+    b_ub = draw(st.lists(_Q, min_size=len(A_ub), max_size=len(A_ub)))
+    b_eq = draw(st.lists(_Q, min_size=len(A_eq), max_size=len(A_eq)))
+    c = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return c, A_ub, b_ub, A_eq, b_eq
+
+
+class TestAgainstTableau:
+    @given(lp=_lps())
+    @settings(max_examples=80, deadline=None)
+    def test_random_rational_lps(self, lp):
+        c, A_ub, b_ub, A_eq, b_eq = lp
+        res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+        ref = simplex._tableau(c, A_ub + A_eq, b_ub + b_eq, len(A_ub))
+        assert res.status == ref.status
+        assert res.method in ("certificate", "tableau")
+        if res.status == "optimal":
+            assert isinstance(res.objective, F)
+            assert res.objective == ref.objective
+        _assert_exact_certificate(res, c, A_ub, b_ub, A_eq, b_eq)
+
+    def test_failed_check_falls_back_to_tableau(self, monkeypatch):
+        def off_by_a_seventh(values):
+            return [F(v).limit_denominator(1000) + F(1, 7)
+                    for v in values.tolist()]
+
+        monkeypatch.setattr(simplex, "_rationalise", off_by_a_seventh)
+        c, A_ub, b_ub = [F(1), F(1)], [[F(1), F(2)], [F(3), F(1)]], [F(4), F(6)]
+        res = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
+        assert res.method == "tableau"
+        assert res.x == [F(8, 5), F(6, 5)]
+        assert res.objective == F(14, 5)
+        _assert_exact_certificate(res, c, A_ub, b_ub, [], [])
+
+        A_eq, b_eq = [[F(1)], [F(1)]], [F(1), F(2)]
+        res = solve_lp([F(0)], A_eq=A_eq, b_eq=b_eq)
+        assert (res.status, res.method) == ("infeasible", "tableau")
+        _assert_exact_certificate(res, [F(0)], [], [], A_eq, b_eq)
+
+        cf = contextual_fraction(load_model(fixture_path("hardy")))
+        assert cf.fraction == F(1, 10)
+        assert cf.lp["method"] == "tableau"
+
+    def test_unbounded_goes_to_tableau(self):
+        res = solve_lp([F(1)], A_ub=[[F(-1)]], b_ub=[F(0)])
+        assert (res.status, res.method) == ("unbounded", "tableau")
+
+    def test_float_inputs_are_not_certified(self):
+        res = solve_lp([1.0, 1.0], A_ub=[[1.0, 2.0], [3.0, 1.0]],
+                       b_ub=[4.0, 6.0])
+        assert res.method == "float"
+
+
+def _parity_model(pattern, v):
+    """Bipartite K-setting binary model with parity pattern[i][j] on
+    context (a_i, b_j), mixed with white noise at visibility v."""
+    k = len(pattern)
+    names = [f"a{i}" for i in range(k)] + [f"b{j}" for j in range(k)]
+    scenario = Scenario(observables={o: (0, 1) for o in names},
+                        contexts=tuple((f"a{i}", f"b{j}") for i in range(k)
+                                       for j in range(k)))
+    tables = {(f"a{i}", f"b{j}"): {
+        (a, b): (v / 2 if a ^ b == pattern[i][j] else 0) + (1 - v) / 4
+        for a in (0, 1) for b in (0, 1)}
+        for i in range(k) for j in range(k)}
+    return EmpiricalModel(scenario=scenario, tables=tables)
+
+
+class TestFourSettingParity:
+    """256 assignments, 64 events: the tableau's size limit, solved exactly
+    by certificate."""
+
+    def test_frustrated_pattern(self):
+        pattern = [[0] * 4 for _ in range(4)]
+        pattern[3][3] = 1
+        model = _parity_model(pattern, F(4, 5))
+        cf = contextual_fraction(model)
+        assert cf.fraction == F(3, 5)
+        assert cf.lp == {"rows": 64, "cols": 256, "status": "optimal",
+                         "method": "certificate"}
+        dec = noncontextual_decompose(model)
+        assert not dec.feasible
+        assert dec.lp["method"] == "certificate"
+        assert dec.certificate.value > dec.certificate.classical_bound == 2
+
+    def test_local_pattern(self):
+        model = _parity_model([[0] * 4 for _ in range(4)], F(4, 5))
+        assert contextual_fraction(model).fraction == 0
+        dec = noncontextual_decompose(model)
+        assert dec.feasible
+        assert dec.lp["method"] == "certificate"
+        assert sum(w for _, w in dec.weights) == 1
