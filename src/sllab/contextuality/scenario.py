@@ -82,6 +82,8 @@ class EmpiricalModel:
             table = dict(self.tables[ctx])
             total = sum(table.values())
             for out, p in table.items():
+                if not abs(p) < math.inf:
+                    raise ScenarioError(f"non-finite probability {p} in {ctx}")
                 if p < -self.tol:
                     raise ScenarioError(f"negative probability {p} in {ctx}")
                 out = tuple(out)

@@ -105,9 +105,8 @@ class PhysicalParams:
     lam = 1 is the fully quantum regime, lam = 0 the classical ensemble
     regime; intermediate values are mesoscopic.  sigma is the diffusion
     scale of the underlying stochastic kinematics; the operational
-    diffusion coefficient used by the stochastic integrator is
-    nu = hbar / (2 m) (see trajectories.SdeConfig for the reconciliation
-    of the two conventions).
+    diffusion coefficient used by the stochastic integrator
+    (trajectories.integrate_nelson) is nu = hbar / (2 m).
     """
 
     m: float = 1.0
@@ -297,13 +296,14 @@ def laplacian(values: np.ndarray, grid: Grid, scheme: str = "spectral") -> np.nd
     return out
 
 
-def _nearest_valid_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Replace entries where mask is True with the nearest unmasked value."""
+def _nearest_valid_fill(mask: np.ndarray, *values: np.ndarray) -> tuple:
+    """Each of `values` with its entries where mask is True replaced by the
+    nearest unmasked value; the nearest-point index is found once."""
     if not mask.any():
         return values
-    idx = ndimage.distance_transform_edt(mask, return_distances=False,
-                                         return_indices=True)
-    return values[tuple(idx)]
+    idx = tuple(ndimage.distance_transform_edt(mask, return_distances=False,
+                                               return_indices=True))
+    return tuple(v[idx] for v in values)
 
 
 def _neighbors_flat(shape, flat_index):
@@ -355,7 +355,7 @@ def polar_decompose(psi: Wavefunction, eps_node: float | None = None,
             queue.append(nb)
 
     phase = phase.reshape(shape)
-    phase = _nearest_valid_fill(phase, ~np.isfinite(phase))
+    phase = _nearest_valid_fill(~np.isfinite(phase), phase)[0]
     return PolarField(grid=psi.grid, R=R, S=hbar * phase, node_mask=mask, hbar=hbar)
 
 
@@ -383,7 +383,7 @@ def quantum_potential_from_abs(R: np.ndarray, grid: Grid, params: PhysicalParams
 def _quantum_potential_masked(R, mask, grid, params) -> np.ndarray:
     safe_R = np.where(mask, 1.0, R)
     q = -(params.hbar ** 2 / (2.0 * params.m)) * laplacian(R, grid).real / safe_R
-    return _nearest_valid_fill(q, mask)
+    return _nearest_valid_fill(mask, q)[0]
 
 
 def quantum_potential(polar: PolarField, params: PhysicalParams) -> np.ndarray:

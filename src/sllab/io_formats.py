@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -66,17 +67,14 @@ def write_field_csv(psi: Wavefunction, path,
     q = quantum_potential(polar, params or PhysicalParams.quantum())
     coords = grid.meshgrid()
     header = (["x", "y"][: grid.dim]) + ["re_psi", "im_psi", "R", "S", "Q"]
+    vals = psi.values.ravel()
+    columns = [c.ravel() for c in coords] + [
+        vals.real, vals.imag, polar.R.ravel(), polar.S.ravel(), q.ravel()]
+    # csv writes a Python float as its repr, so rows of floats round-trip
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        flat = [c.ravel() for c in coords]
-        vals = psi.values.ravel()
-        for i in range(grid.size):
-            row = [repr(float(c[i])) for c in flat]
-            row += [repr(float(vals[i].real)), repr(float(vals[i].imag)),
-                    repr(float(polar.R.ravel()[i])), repr(float(polar.S.ravel()[i])),
-                    repr(float(q.ravel()[i]))]
-            writer.writerow(row)
+        writer.writerows(zip(*(c.tolist() for c in columns)))
 
 
 def write_series_csv(rows, header, path) -> None:
@@ -92,14 +90,13 @@ def write_trajectories_csv(ensemble, path, stride: int = 1) -> None:
     """Columns: traj_id, t, x[, y]."""
     dim = ensemble.positions.shape[2]
     header = ["traj_id", "t", "x"] + (["y"] if dim == 2 else [])
+    times = ensemble.times[::stride].tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(ensemble.n_trajectories):
-            for j in range(0, len(ensemble.times), stride):
-                row = [i, repr(float(ensemble.times[j]))]
-                row += [repr(float(v)) for v in ensemble.positions[i, j]]
-                writer.writerow(row)
+        for i in range(ensemble.n_trajectories):  # one path at a time
+            axes = ensemble.positions[i, ::stride].T.tolist()
+            writer.writerows(zip(itertools.repeat(i), times, *axes))
 
 
 def canonical_json(doc) -> str:

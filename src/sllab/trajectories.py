@@ -3,7 +3,8 @@
 Deterministic pilot-wave integration (RK4 on the current velocity
 Im(grad psi / psi) * hbar/m) and stochastic diffusion integration
 (Euler-Maruyama on the forward drift v + u with diffusion coefficient
-nu = hbar/2m).  Both are vectorized across particles; fields are shared
+nu = hbar/2m) run one transport loop, `_transport`, and differ only in
+their step rule.  Both are vectorized across particles; fields are shared
 read-only and every stochastic path owns a counter-based RNG stream
 keyed by (seed, particle index), so paths are reproducible regardless of
 ensemble size or execution order.
@@ -30,12 +31,15 @@ _NOISE_BLOCK = 512  # time steps of noise generated per particle at once
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Current velocity v and osmotic velocity u on a grid (per axis)."""
+    """Current velocity v and osmotic velocity u on a grid (per axis), with
+    |psi| and the level 1e-6 max|psi| below which a point is a node."""
 
     grid: Grid
     v: tuple
     u: tuple
     valid_mask: np.ndarray
+    abs_psi: np.ndarray
+    node_level: float
 
 
 @dataclass(frozen=True)
@@ -43,13 +47,10 @@ class SdeConfig:
     dt: float
     rng_seed: int
     steps: Optional[int] = None  # required for static (single-frame) traces
-    nu: Optional[float] = None   # default hbar/(2m) from the params in use
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.nu is not None and self.nu < 0:
-            raise ValueError("diffusion coefficient must be nonnegative")
 
 
 @dataclass
@@ -72,25 +73,24 @@ class TrajectoryEnsemble:
         return self.positions[:, -1, :]
 
 
-def velocity_field(psi_values: np.ndarray, grid: Grid, params: PhysicalParams,
-                   eps_node: float | None = None) -> VelocityField:
+def velocity_field(psi_values: np.ndarray, grid: Grid,
+                   params: PhysicalParams) -> VelocityField:
     """Current and osmotic velocity grids from a complex field.
 
     grad(psi)/psi splits as Re -> osmotic * m/hbar, Im -> current * m/hbar.
     Near-node points take the value of the nearest valid point.
     """
     absv = np.abs(psi_values)
-    if eps_node is None:
-        eps_node = 1e-6 * float(absv.max())
-    mask = absv < eps_node
+    node_level = 1e-6 * float(absv.max())
+    mask = absv < node_level
     safe = np.where(mask, 1.0, psi_values)
     scale = params.hbar / params.m
-    v, u = [], []
-    for ax in range(grid.dim):
-        ratio = differentiate(psi_values, grid, axis=ax, order=1) / safe
-        v.append(_nearest_valid_fill(scale * ratio.imag, mask))
-        u.append(_nearest_valid_fill(scale * ratio.real, mask))
-    return VelocityField(grid=grid, v=tuple(v), u=tuple(u), valid_mask=~mask)
+    ratios = [differentiate(psi_values, grid, axis=ax, order=1) / safe
+              for ax in range(grid.dim)]
+    filled = _nearest_valid_fill(mask, *[scale * r.imag for r in ratios],
+                                 *[scale * r.real for r in ratios])
+    return VelocityField(grid=grid, v=filled[:grid.dim], u=filled[grid.dim:],
+                         valid_mask=~mask, abs_psi=absv, node_level=node_level)
 
 
 def interpolate_grid(field: np.ndarray, grid: Grid,
@@ -133,9 +133,6 @@ class FrameInterpolator:
         self.static = len(self.frames) == 1
         self._cache_t = None
         self._cache_vf = None
-
-    def span(self):
-        return float(self.times[0]), float(self.times[-1])
 
     def psi_at(self, t: float) -> np.ndarray:
         if self.static:
@@ -182,26 +179,52 @@ def nelson_drift(psi_frame: Wavefunction, x,
     return _velocity(vf, x, osmotic=True)
 
 
-def _node_check(interp: FrameInterpolator, t: float, q: np.ndarray) -> np.ndarray:
-    absv = np.abs(interp.psi_at(t))
-    vals = interpolate_grid(absv, interp.grid, q)
-    return vals < 1e-6 * float(absv.max())
+def _transport(trace: EvolutionTrace, q0_list, dt: float,
+               steps: Optional[int], params: PhysicalParams, kind: str,
+               make_step: Callable) -> TrajectoryEnsemble:
+    """The one step loop of both integrators.
 
-
-def _resolve_steps(interp: FrameInterpolator, dt: float, steps: Optional[int]):
-    t0, t1 = interp.span()
+    make_step(interp, npart, nsteps) returns the step rule
+    step(t, vf, q) -> q one dt later, given the velocity field vf at t.  A
+    particle is flagged when |psi| at its position is below vf's node
+    level at the start of a step.
+    """
+    interp = FrameInterpolator(trace, params)
+    grid = interp.grid
+    q = grid.wrap(np.atleast_2d(np.asarray(q0_list, dtype=float)
+                                .reshape(len(q0_list), grid.dim)))
+    t0 = float(interp.times[0])
     if interp.static:
         if steps is None:
             raise ValueError("static trace needs an explicit step count")
-        return t0, steps
-    span = t1 - t0
-    nsteps = int(round(span / dt))
-    if abs(nsteps * dt - span) > 1e-9 * max(1.0, span):
-        raise ValueError(
-            f"dt={dt} does not divide the trace span {span:.6g} evenly")
-    if steps is not None:
-        nsteps = min(nsteps, steps)
-    return t0, nsteps
+        nsteps = steps
+    else:
+        span = float(interp.times[-1]) - t0
+        nsteps = int(round(span / dt))
+        if abs(nsteps * dt - span) > 1e-9 * max(1.0, span):
+            raise ValueError(
+                f"dt={dt} does not divide the trace span {span:.6g} evenly")
+        if steps is not None:
+            nsteps = min(nsteps, steps)
+    npart = q.shape[0]
+    if npart == 0:
+        raise ValueError("need at least one initial position")
+
+    positions = np.empty((npart, nsteps + 1, grid.dim))
+    positions[:, 0, :] = q
+    flags = np.zeros(npart, dtype=bool)
+    step = make_step(interp, npart, nsteps)
+
+    for i in range(nsteps):
+        t = t0 + i * dt
+        vf = interp.velocity_at(t)
+        flags |= interpolate_grid(vf.abs_psi, grid, q) < vf.node_level
+        q = step(t, vf, q)
+        positions[:, i + 1, :] = q
+
+    times = t0 + dt * np.arange(nsteps + 1)
+    return TrajectoryEnsemble(times=times, positions=positions, kind=kind,
+                              node_flags=flags)
 
 
 def integrate_bohmian(trace: EvolutionTrace, q0_list, dt: float,
@@ -213,42 +236,38 @@ def integrate_bohmian(trace: EvolutionTrace, q0_list, dt: float,
     that enter a near-node region are flagged but integration continues
     (the drift there falls back to the nearest valid grid point).
     """
-    interp = FrameInterpolator(trace, params)
-    grid = interp.grid
-    q = grid.wrap(np.atleast_2d(np.asarray(q0_list, dtype=float)
-                                .reshape(len(q0_list), grid.dim)))
-    t0, nsteps = _resolve_steps(interp, dt, steps)
-    npart = q.shape[0]
-    if npart == 0:
-        raise ValueError("need at least one initial position")
+    def make_step(interp, npart, nsteps):
+        grid = interp.grid
 
-    positions = np.empty((npart, nsteps + 1, grid.dim))
-    positions[:, 0, :] = q
-    flags = np.zeros(npart, dtype=bool)
+        def vel(t, qq, vf):
+            out = _velocity(vf, qq, osmotic=False)
+            return out if drift_extra is None else out + drift_extra(t, qq)
 
-    def vel(t, qq):
-        out = _velocity(interp.velocity_at(t), qq, osmotic=False)
-        return out if drift_extra is None else out + drift_extra(t, qq)
+        def step(t, vf, q):
+            h = t + 0.5 * dt
+            k1 = vel(t, q, vf)
+            k2 = vel(h, grid.wrap(q + 0.5 * dt * k1), interp.velocity_at(h))
+            k3 = vel(h, grid.wrap(q + 0.5 * dt * k2), interp.velocity_at(h))
+            k4 = vel(t + dt, grid.wrap(q + dt * k3), interp.velocity_at(t + dt))
+            return grid.wrap(q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
-    t = t0
-    for i in range(1, nsteps + 1):
-        flags |= _node_check(interp, t, q)
-        k1 = vel(t, q)
-        k2 = vel(t + 0.5 * dt, grid.wrap(q + 0.5 * dt * k1))
-        k3 = vel(t + 0.5 * dt, grid.wrap(q + 0.5 * dt * k2))
-        k4 = vel(t + dt, grid.wrap(q + dt * k3))
-        q = grid.wrap(q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        positions[:, i, :] = q
-        t = t0 + i * dt
+        return step
 
-    times = t0 + dt * np.arange(nsteps + 1)
-    return TrajectoryEnsemble(times=times, positions=positions,
-                              kind="bohmian", node_flags=flags)
+    return _transport(trace, q0_list, dt, steps, params, "bohmian", make_step)
 
 
-def _noise_streams(seed: int, npart: int):
-    return [np.random.Generator(np.random.Philox(key=[seed, i]))
-            for i in range(npart)]
+def _philox_noise(seed: int, npart: int, nsteps: int, dim: int):
+    """Standard normal increments, one (npart, dim) array per step, drawn in
+    blocks of _NOISE_BLOCK steps from particle i's Philox stream keyed by
+    (seed, i), so a path does not depend on the ensemble size."""
+    streams = [np.random.Generator(np.random.Philox(key=[seed, i]))
+               for i in range(npart)]
+    for start in range(0, nsteps, _NOISE_BLOCK):
+        width = min(_NOISE_BLOCK, nsteps - start)
+        block = np.empty((npart, width, dim))
+        for j, gen in enumerate(streams):
+            block[j] = gen.standard_normal((width, dim))
+        yield from block.swapaxes(0, 1)
 
 
 def integrate_nelson(trace: EvolutionTrace, q0_list, cfg: SdeConfig,
@@ -260,49 +279,28 @@ def integrate_nelson(trace: EvolutionTrace, q0_list, cfg: SdeConfig,
     drift_override: None for the full forward drift v + u, "zero" for a
     pure-Brownian control run (b forced to 0).
     """
-    interp = FrameInterpolator(trace, params)
-    grid = interp.grid
-    q = grid.wrap(np.atleast_2d(np.asarray(q0_list, dtype=float)
-                                .reshape(len(q0_list), grid.dim)))
-    t0, nsteps = _resolve_steps(interp, cfg.dt, cfg.steps)
-    npart = q.shape[0]
-    if npart == 0:
-        raise ValueError("need at least one initial position")
-    nu = params.nu if cfg.nu is None else cfg.nu
-    amp = np.sqrt(2.0 * nu * cfg.dt)
+    if drift_override not in (None, "zero"):
+        raise ValueError(
+            f"drift_override must be None or 'zero', got {drift_override!r}")
+    amp = np.sqrt(2.0 * params.nu * cfg.dt)
 
-    streams = _noise_streams(cfg.rng_seed, npart)
-    positions = np.empty((npart, nsteps + 1, grid.dim))
-    positions[:, 0, :] = q
-    flags = np.zeros(npart, dtype=bool)
+    def make_step(interp, npart, nsteps):
+        grid = interp.grid
+        noise = _philox_noise(cfg.rng_seed, npart, nsteps, grid.dim)
 
-    t = t0
-    block = None
-    block_start = 0
-    for i in range(1, nsteps + 1):
-        step_in_run = i - 1
-        if block is None or step_in_run >= block_start + block.shape[1]:
-            block_start = step_in_run
-            width = min(_NOISE_BLOCK, nsteps - block_start)
-            block = np.empty((npart, width, grid.dim))
-            for j, gen in enumerate(streams):
-                block[j] = gen.standard_normal((width, grid.dim))
-        noise = block[:, step_in_run - block_start, :]
+        def step(t, vf, q):
+            if drift_override == "zero":
+                b = np.zeros_like(q)
+            else:
+                b = _velocity(vf, q, osmotic=True)
+            if drift_extra is not None:
+                b = b + drift_extra(t, q)
+            return grid.wrap(q + b * cfg.dt + amp * next(noise))
 
-        flags |= _node_check(interp, t, q)
-        if drift_override == "zero":
-            b = np.zeros_like(q)
-        else:
-            b = _velocity(interp.velocity_at(t), q, osmotic=True)
-        if drift_extra is not None:
-            b = b + drift_extra(t, q)
-        q = grid.wrap(q + b * cfg.dt + amp * noise)
-        positions[:, i, :] = q
-        t = t0 + i * cfg.dt
+        return step
 
-    times = t0 + cfg.dt * np.arange(nsteps + 1)
-    return TrajectoryEnsemble(times=times, positions=positions,
-                              kind="nelson", node_flags=flags)
+    return _transport(trace, q0_list, cfg.dt, cfg.steps, params, "nelson",
+                      make_step)
 
 
 def static_trace(psi: Wavefunction) -> EvolutionTrace:

@@ -52,6 +52,12 @@ class TestScenario:
             EmpiricalModel(scenario=s,
                            tables={("A",): {(0,): F(3, 2), (1,): F(-1, 2)}})
 
+    def test_nan_probability_rejected(self):
+        s = Scenario(observables={"A": (0, 1)}, contexts=(("A",),))
+        with pytest.raises(ScenarioError, match="non-finite"):
+            EmpiricalModel(scenario=s,
+                           tables={("A",): {(0,): math.nan, (1,): 1.0}})
+
     def test_json_round_trip_exact(self):
         model = _fixture("pr_box")
         again = model_from_dict(model_to_dict(model))

@@ -181,8 +181,14 @@ class TestNelson:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SdeConfig(dt=-1.0, rng_seed=0)
-        with pytest.raises(ValueError):
-            SdeConfig(dt=1e-2, rng_seed=0, nu=-0.5)
+
+    @pytest.mark.parametrize("override", ["Zero", "none"])
+    def test_unknown_drift_override_rejected(self, override):
+        psi = harmonic_ground_state(make_grid(1, 20.0, 64))
+        with pytest.raises(ValueError, match="drift_override"):
+            integrate_nelson(static_trace(psi), [[0.0]],
+                             SdeConfig(dt=1e-2, rng_seed=0, steps=5), QUANTUM,
+                             drift_override=override)
 
     @given(seed=st.integers(0, 2 ** 31))
     @settings(max_examples=10)
