@@ -160,14 +160,21 @@ def coarse_grained_h(positions_1d: np.ndarray, psi_density: np.ndarray,
     return float(np.sum(p[live] * np.log(p[live] / q[live])))
 
 
+def nearest_time_indices(times: np.ndarray, frame_times) -> list:
+    """For each frame time, the index of the nearest of `times` (the first
+    one on a tie).  Run on a transport's step times, it gives the steps
+    that relaxation_h_series reads, so a run can record only those."""
+    return [int(np.argmin(np.abs(times - t))) for t in frame_times]
+
+
 def relaxation_h_series(traj_ensemble: TrajectoryEnsemble, psi_frames,
                         frame_times, grid: Grid, coarse_bins: int,
                         axis: int = 0):
     """H(t) for each supplied frame time; frames are (time, density) pairs
     matched to the nearest trajectory time index."""
     series = []
-    for t, rho in zip(frame_times, psi_frames):
-        idx = int(np.argmin(np.abs(traj_ensemble.times - t)))
+    indices = nearest_time_indices(traj_ensemble.times, frame_times)
+    for t, rho, idx in zip(frame_times, psi_frames, indices):
         pos = traj_ensemble.at_time_index(idx)[:, axis]
         if grid.dim == 2:
             rho = rho.sum(axis=1 - axis) * grid.dx

@@ -15,7 +15,7 @@ import math
 import os
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -33,6 +33,7 @@ from .dynamics import (
 from .ensemble import (
     chi2_against_target,
     equivariance_test,
+    nearest_time_indices,
     relaxation_h_series,
     sample_density,
 )
@@ -56,8 +57,8 @@ from .fixtures import FIXTURE_NAMES
 from .measurement import (TRAJECTORY_KINDS, MeasurementError, PointerModel,
                           evolve_pointer, read_out)
 from .svgplot import line_plot
-from .trajectories import SdeConfig, integrate_bohmian, integrate_nelson, \
-    static_trace
+from .trajectories import SdeConfig, integrate_bohmian, \
+    integrate_nelson, integrate_nelson_lockstep, static_trace, step_times
 
 
 class ConfigError(ValueError):
@@ -408,7 +409,7 @@ def _run_equivariance(p: EquivarianceParams, seed, out: Path) -> dict:
     for i in range(p.n_seeds):
         sub_seed = seed + i
         q0 = sample_density(psi0.density(), grid, p.n_traj, sub_seed)
-        ens = integrate_bohmian(trace, q0, p.traj_dt, params)
+        ens = integrate_bohmian(trace, q0, p.traj_dt, params, keep=[-1])
         rep = equivariance_test(ens, target, grid, -1, bins=p.bins)
         passes += rep.p_value > 0.01
         rows.append((sub_seed, rep.chi2, rep.dof, rep.p_value))
@@ -432,17 +433,22 @@ def _run_nelson_born(p: NelsonBornParams, seed, out: Path) -> dict:
     steps = int(round(p.t_final / p.dt))
     q0 = sample_density(psi.density(), grid, p.n_traj, seed)
     cfg = SdeConfig(dt=p.dt, rng_seed=seed, steps=steps)
-    ens = integrate_nelson(trace, q0, cfg, params)
+    # the path sample's rows, then the final step that chi2 reads
+    rows = range(0, steps + 1, max(1, steps // 100))
+    # pure-Brownian control: same q0 and noise rows, drift forced to zero
+    ens, ctrl = integrate_nelson_lockstep(trace, q0, cfg, params,
+                                          (None, "zero"),
+                                          keep=sorted({*rows, steps}))
     rep = chi2_against_target(ens.final_positions()[:, 0], psi.density(),
                               grid, p.bins)
-    # pure-Brownian control: same diffusion, drift forced to zero
-    ctrl = integrate_nelson(trace, q0, cfg, params, drift_override="zero")
     rep_ctrl = chi2_against_target(ctrl.final_positions()[:, 0], psi.density(),
                                    grid, p.bins)
     write_json({"diffusion": rep.as_dict(), "brownian_control":
                 rep_ctrl.as_dict()}, out / "chi2.json")
-    write_trajectories_csv(ens, out / "paths_sample.csv",
-                           stride=max(1, steps // 100))
+    write_trajectories_csv(
+        replace(ens, times=ens.times[:len(rows)],
+                positions=ens.positions[:, :len(rows)]),
+        out / "paths_sample.csv")
     return {
         "claim": "the wave density is the stationary law of the drifted "
                  "diffusion (Born rule from stochastic kinematics)",
@@ -474,9 +480,10 @@ def _run_relaxation(p: RelaxationParams, seed, out: Path) -> dict:
     rho_uniform = rho_uniform / (rho_uniform.sum() * grid.dx)
     q0 = sample_density(rho_uniform, grid, p.n_traj, seed)
     sde = SdeConfig(dt=p.dt, rng_seed=seed)
-    ens = integrate_nelson(trace, q0, sde, params)
-    frames = [s.psi.density() for s in trace.snapshots]
     times = [s.t for s in trace.snapshots]
+    keep = np.unique(nearest_time_indices(step_times(trace, p.dt), times))
+    ens = integrate_nelson(trace, q0, sde, params, keep=keep)
+    frames = [s.psi.density() for s in trace.snapshots]
     series = relaxation_h_series(ens, frames, times, grid, p.coarse_bins)
     write_series_csv(series, ["t", "H"], out / "h_series.csv")
     line_plot([("H(t)", [t for t, _ in series], [h for _, h in series])],

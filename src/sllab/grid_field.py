@@ -88,9 +88,17 @@ class Grid:
         return out
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Fold positions into the periodic box [-L/2, L/2)."""
+        """Fold positions into the periodic box [-L/2, L/2].
+
+        The result is in [-L/2, L/2) except at one rounding edge: a point
+        a few ulps below -L/2 can fold to exactly +L/2, when x + L/2 + L
+        rounds up to L (nextafter(-L/2, -inf) does at L = 20, 30, 40, not
+        at L = 7.3).  Equal, bit for bit, to (x + L/2) % L - L/2, without
+        the cost of a float modulo.
+        """
         half = 0.5 * self.length
-        return (np.asarray(x) + half) % self.length - half
+        a = np.asarray(x) + half
+        return a - self.length * np.floor(a / self.length) - half
 
 
 def make_grid(dim: int, length: float, npoints: int) -> Grid:

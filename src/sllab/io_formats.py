@@ -90,13 +90,15 @@ def write_trajectories_csv(ensemble, path, stride: int = 1) -> None:
     """Columns: traj_id, t, x[, y]."""
     dim = ensemble.positions.shape[2]
     header = ["traj_id", "t", "x"] + (["y"] if dim == 2 else [])
-    times = ensemble.times[::stride].tolist()
+    # csv writes a number as its str, a float's being its repr: the time
+    # column is formatted once per file and each path id once per path
+    times = [repr(t) for t in ensemble.times[::stride].tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(ensemble.n_trajectories):  # one path at a time
             axes = ensemble.positions[i, ::stride].T.tolist()
-            writer.writerows(zip(itertools.repeat(i), times, *axes))
+            writer.writerows(zip(itertools.repeat(str(i)), times, *axes))
 
 
 def canonical_json(doc) -> str:

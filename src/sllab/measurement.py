@@ -244,10 +244,12 @@ def read_out(model: PointerModel, params: PhysicalParams,
     q0 = sample_density(rho0, model.grid, n_traj, seed)
     extra = coupling_drift(model)
     if kind == "bohmian":
-        ens = integrate_bohmian(trace, q0, traj_dt, params, drift_extra=extra)
+        ens = integrate_bohmian(trace, q0, traj_dt, params, drift_extra=extra,
+                                keep=[-1])
     else:
         cfg = SdeConfig(dt=traj_dt, rng_seed=seed)
-        ens = integrate_nelson(trace, q0, cfg, params, drift_extra=extra)
+        ens = integrate_nelson(trace, q0, cfg, params, drift_extra=extra,
+                               keep=[-1])
 
     assign = branch_assign(ens.final_positions(), centers, model.dy_min)
     counts = [int(np.sum(assign == 0)), int(np.sum(assign == 1))]

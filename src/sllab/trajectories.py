@@ -8,12 +8,17 @@ their step rule.  Both are vectorized across particles; fields are shared
 read-only and every stochastic path owns a counter-based RNG stream
 keyed by (seed, particle index), so paths are reproducible regardless of
 ensemble size or execution order.
+
+The loop records positions only at the steps a schedule (`keep`) names,
+so memory grows with the ensemble, not with the step count.  Several
+Nelson drift rules can advance in lockstep over one noise stream
+(`integrate_nelson_lockstep`), which draws each noise row once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,12 +36,13 @@ _NOISE_BLOCK = 512  # time steps of noise generated per particle at once
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Current velocity v and osmotic velocity u on a grid (per axis), with
-    |psi| and the level 1e-6 max|psi| below which a point is a node."""
+    """Current velocity v and forward drift b = v + u (u the osmotic
+    velocity) on a grid (per axis), with |psi| and the level 1e-6 max|psi|
+    below which a point is a node."""
 
     grid: Grid
     v: tuple
-    u: tuple
+    b: tuple
     valid_mask: np.ndarray
     abs_psi: np.ndarray
     node_level: float
@@ -55,7 +61,12 @@ class SdeConfig:
 
 @dataclass
 class TrajectoryEnsemble:
-    """N particle paths over shared times; positions shape (N, T+1, dim)."""
+    """N particle paths at the recorded times.
+
+    positions has shape (N, len(times), dim): one column per step of the
+    recording schedule, which is every step (T+1 columns for T steps)
+    unless the integrator was given `keep`.
+    """
 
     times: np.ndarray
     positions: np.ndarray
@@ -89,8 +100,59 @@ def velocity_field(psi_values: np.ndarray, grid: Grid,
               for ax in range(grid.dim)]
     filled = _nearest_valid_fill(mask, *[scale * r.imag for r in ratios],
                                  *[scale * r.real for r in ratios])
-    return VelocityField(grid=grid, v=filled[:grid.dim], u=filled[grid.dim:],
+    v, u = filled[:grid.dim], filled[grid.dim:]
+    return VelocityField(grid=grid, v=v,
+                         b=tuple(va + ua for va, ua in zip(v, u)),
                          valid_mask=~mask, abs_psi=absv, node_level=node_level)
+
+
+def _cells(grid: Grid, points: np.ndarray) -> list:
+    """The grid-cell corners around each point of an (N, dim) array, as
+    (flat index, weight factors) pairs in the order `_gather` sums them.
+
+    npoints is a power of two (Grid checks it), so `& (n - 1)` is the
+    periodic fold `% n` without an integer division.  It also folds the
+    base index n that a point at +L/2 gets (see Grid.wrap) to 0.
+    """
+    frac = (points + 0.5 * grid.length) / grid.dx  # fractional index
+    floor = np.floor(frac)
+    base = floor.astype(int)
+    w = frac - floor
+    fold = grid.npoints - 1
+    lo = base & fold
+    hi = (base + 1) & fold
+    wlo = 1 - w
+    if grid.dim == 1:
+        return [(lo[:, 0], (wlo[:, 0],)), (hi[:, 0], (w[:, 0],))]
+    n = grid.npoints
+    i0, i1 = lo[:, 0] * n, hi[:, 0] * n
+    j0, j1 = lo[:, 1], hi[:, 1]
+    ax, wx, ay, wy = wlo[:, 0], w[:, 0], wlo[:, 1], w[:, 1]
+    return [(i0 + j0, (ax, ay)), (i1 + j0, (wx, ay)),
+            (i0 + j1, (ax, wy)), (i1 + j1, (wx, wy))]
+
+
+def _gather(field: np.ndarray, cells: list) -> np.ndarray:
+    """Multilinear interpolation of a float `field` at the points of
+    `cells`: the corner terms (f * wx) * wy summed left to right, the order
+    whose bytes tests/test_bit_identity.py pins."""
+    flat = field.ravel()
+    out = None
+    for idx, weights in cells:
+        term = flat.take(idx)
+        for w in weights:
+            term *= w
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
+def _gather_axes(fields: tuple, cells: list) -> np.ndarray:
+    """One field per axis gathered at the points of `cells`: (N, dim)."""
+    cols = [_gather(f, cells) for f in fields]
+    return cols[0][:, None] if len(cols) == 1 else np.stack(cols, axis=-1)
 
 
 def interpolate_grid(field: np.ndarray, grid: Grid,
@@ -99,26 +161,9 @@ def interpolate_grid(field: np.ndarray, grid: Grid,
 
     points: array (..., dim); multilinear interpolation with periodic wrap.
     """
-    pts = np.atleast_2d(points)
-    frac = (pts + 0.5 * grid.length) / grid.dx  # fractional index
-    base = np.floor(frac).astype(int)
-    w = frac - base
-    n = grid.npoints
-    if grid.dim == 1:
-        i0 = base[:, 0] % n
-        i1 = (i0 + 1) % n
-        wx = w[:, 0]
-        return field[i0] * (1 - wx) + field[i1] * wx
-    i0 = base[:, 0] % n
-    i1 = (i0 + 1) % n
-    j0 = base[:, 1] % n
-    j1 = (j0 + 1) % n
-    wx = w[:, 0]
-    wy = w[:, 1]
-    return (field[i0, j0] * (1 - wx) * (1 - wy)
-            + field[i1, j0] * wx * (1 - wy)
-            + field[i0, j1] * (1 - wx) * wy
-            + field[i1, j1] * wx * wy)
+    field = np.asarray(field)
+    field = field.astype(np.result_type(field, np.float64), copy=False)
+    return _gather(field, _cells(grid, np.atleast_2d(points)))
 
 
 class FrameInterpolator:
@@ -154,14 +199,9 @@ class FrameInterpolator:
         return vf
 
 
-def _velocity(vf: VelocityField, x, osmotic: bool) -> np.ndarray:
-    """Current velocity v, or with `osmotic` the forward drift b = v + u,
-    interpolated at position(s) x."""
-    pts = np.atleast_2d(x)
-    out = np.stack([
-        interpolate_grid(vf.v[ax] + vf.u[ax] if osmotic else vf.v[ax],
-                         vf.grid, pts)
-        for ax in range(vf.grid.dim)], axis=-1)
+def _at_points(fields: tuple, grid: Grid, x) -> np.ndarray:
+    """Per-axis fields interpolated at position(s) x."""
+    out = _gather_axes(fields, _cells(grid, np.atleast_2d(x)))
     return out[0] if np.ndim(x) <= 1 else out
 
 
@@ -169,91 +209,145 @@ def bohm_velocity(psi_frame: Wavefunction, x,
                   params: PhysicalParams) -> np.ndarray:
     """Pilot-wave velocity (hbar/m) Im(grad psi / psi) at position(s) x."""
     vf = velocity_field(psi_frame.values, psi_frame.grid, params)
-    return _velocity(vf, x, osmotic=False)
+    return _at_points(vf.v, vf.grid, x)
 
 
 def nelson_drift(psi_frame: Wavefunction, x,
                  params: PhysicalParams) -> np.ndarray:
     """Forward drift b = v + u at position(s) x."""
     vf = velocity_field(psi_frame.values, psi_frame.grid, params)
-    return _velocity(vf, x, osmotic=True)
+    return _at_points(vf.b, vf.grid, x)
 
 
-def _transport(trace: EvolutionTrace, q0_list, dt: float,
-               steps: Optional[int], params: PhysicalParams, kind: str,
-               make_step: Callable) -> TrajectoryEnsemble:
-    """The one step loop of both integrators.
+def step_times(trace: EvolutionTrace, dt: float,
+               steps: Optional[int] = None) -> np.ndarray:
+    """Times t0, t0 + dt, ... of every step of a transport through `trace`:
+    one entry per column of a full record.
 
-    make_step(interp, npart, nsteps) returns the step rule
-    step(t, vf, q) -> q one dt later, given the velocity field vf at t.  A
-    particle is flagged when |psi| at its position is below vf's node
-    level at the start of a step.
+    A moving trace is crossed in whole steps of dt (at most `steps` of
+    them); a static (single-frame) trace needs an explicit step count.
     """
-    interp = FrameInterpolator(trace, params)
-    grid = interp.grid
-    q = grid.wrap(np.atleast_2d(np.asarray(q0_list, dtype=float)
-                                .reshape(len(q0_list), grid.dim)))
-    t0 = float(interp.times[0])
-    if interp.static:
+    times = trace.times
+    t0 = float(times[0])
+    if len(times) == 1:
         if steps is None:
             raise ValueError("static trace needs an explicit step count")
         nsteps = steps
     else:
-        span = float(interp.times[-1]) - t0
+        span = float(times[-1]) - t0
         nsteps = int(round(span / dt))
         if abs(nsteps * dt - span) > 1e-9 * max(1.0, span):
             raise ValueError(
                 f"dt={dt} does not divide the trace span {span:.6g} evenly")
         if steps is not None:
             nsteps = min(nsteps, steps)
+    return t0 + dt * np.arange(nsteps + 1)
+
+
+def _schedule(keep, nsteps: int) -> np.ndarray:
+    """The step indices to record: all of 0..nsteps when keep is None, else
+    keep's indices (negative ones count from the end), strictly increasing."""
+    cols = np.arange(nsteps + 1)
+    if keep is None:
+        return cols
+    idx = np.asarray(keep, dtype=int).ravel()
+    if idx.size == 0 or np.any((idx > nsteps) | (idx < -nsteps - 1)):
+        raise ValueError(
+            f"keep must name step indices in [-{nsteps + 1}, {nsteps}]")
+    cols = cols[idx]
+    if np.any(np.diff(cols) <= 0):
+        raise ValueError("keep must name strictly increasing step indices")
+    return cols
+
+
+def _transport(trace: EvolutionTrace, q0_list, dt: float,
+               steps: Optional[int], params: PhysicalParams, kind: str,
+               keep, n_rules: int, make_step: Callable) -> list:
+    """The one step loop of both integrators; returns one ensemble for each
+    of n_rules step rules advanced in lockstep from the same q0.
+
+    make_step(interp, npart, nsteps) returns
+    advance(t, vf, qs, cells) -> qs one dt later, given the velocity field
+    vf at t, the n_rules position arrays and their `_cells`.  A particle is
+    flagged when |psi| at its position is below vf's node level at the
+    start of a step.  Positions are recorded at the steps `keep` names.
+    """
+    interp = FrameInterpolator(trace, params)
+    grid = interp.grid
+    q = grid.wrap(np.atleast_2d(np.asarray(q0_list, dtype=float)
+                                .reshape(len(q0_list), grid.dim)))
+    all_times = step_times(trace, dt, steps)
+    nsteps = len(all_times) - 1
     npart = q.shape[0]
     if npart == 0:
         raise ValueError("need at least one initial position")
+    cols = _schedule(keep, nsteps)
+    slot = {int(c): s for s, c in enumerate(cols)}
 
-    positions = np.empty((npart, nsteps + 1, grid.dim))
-    positions[:, 0, :] = q
-    flags = np.zeros(npart, dtype=bool)
-    step = make_step(interp, npart, nsteps)
+    positions = [np.empty((npart, len(cols), grid.dim))
+                 for _ in range(n_rules)]
+    flags = [np.zeros(npart, dtype=bool) for _ in range(n_rules)]
 
+    def record(i, qs):
+        s = slot.get(i)
+        if s is not None:
+            for pos, qq in zip(positions, qs):
+                pos[:, s, :] = qq
+
+    qs = [q] * n_rules
+    record(0, qs)
+    advance = make_step(interp, npart, nsteps)
+    t0 = float(all_times[0])
     for i in range(nsteps):
         t = t0 + i * dt
         vf = interp.velocity_at(t)
-        flags |= interpolate_grid(vf.abs_psi, grid, q) < vf.node_level
-        q = step(t, vf, q)
-        positions[:, i + 1, :] = q
+        cells = [_cells(grid, qq) for qq in qs]
+        for flag, cell in zip(flags, cells):
+            flag |= _gather(vf.abs_psi, cell) < vf.node_level
+        qs = advance(t, vf, qs, cells)
+        record(i + 1, qs)
 
-    times = t0 + dt * np.arange(nsteps + 1)
-    return TrajectoryEnsemble(times=times, positions=positions, kind=kind,
-                              node_flags=flags)
+    times = all_times[cols]
+    return [TrajectoryEnsemble(times=times, positions=pos, kind=kind,
+                               node_flags=flag)
+            for pos, flag in zip(positions, flags)]
 
 
 def integrate_bohmian(trace: EvolutionTrace, q0_list, dt: float,
                       params: PhysicalParams, steps: Optional[int] = None,
-                      drift_extra: Optional[Callable] = None) -> TrajectoryEnsemble:
+                      drift_extra: Optional[Callable] = None,
+                      keep: Optional[Sequence[int]] = None) -> TrajectoryEnsemble:
     """RK4 integration of the pilot-wave velocity through the trace frames.
 
     Deterministic: identical inputs give bit-identical paths.  Particles
     that enter a near-node region are flagged but integration continues
     (the drift there falls back to the nearest valid grid point).
+    keep: the step indices to record (negative ones count from the end);
+    None records every step.
     """
     def make_step(interp, npart, nsteps):
         grid = interp.grid
 
-        def vel(t, qq, vf):
-            out = _velocity(vf, qq, osmotic=False)
+        def vel(t, vf, cells, qq):
+            out = _gather_axes(vf.v, cells)
             return out if drift_extra is None else out + drift_extra(t, qq)
 
-        def step(t, vf, q):
+        def vel_at(t, qq):
+            return vel(t, interp.velocity_at(t), _cells(grid, qq), qq)
+
+        def advance(t, vf, qs, cells):
+            (q,), (cell,) = qs, cells
             h = t + 0.5 * dt
-            k1 = vel(t, q, vf)
-            k2 = vel(h, grid.wrap(q + 0.5 * dt * k1), interp.velocity_at(h))
-            k3 = vel(h, grid.wrap(q + 0.5 * dt * k2), interp.velocity_at(h))
-            k4 = vel(t + dt, grid.wrap(q + dt * k3), interp.velocity_at(t + dt))
-            return grid.wrap(q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+            k1 = vel(t, vf, cell, q)
+            k2 = vel_at(h, grid.wrap(q + 0.5 * dt * k1))
+            k3 = vel_at(h, grid.wrap(q + 0.5 * dt * k2))
+            k4 = vel_at(t + dt, grid.wrap(q + dt * k3))
+            return [grid.wrap(q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))]
 
-        return step
+        return advance
 
-    return _transport(trace, q0_list, dt, steps, params, "bohmian", make_step)
+    return _transport(trace, q0_list, dt, steps, params, "bohmian", keep, 1,
+                      make_step)[0]
 
 
 def _philox_noise(seed: int, npart: int, nsteps: int, dim: int):
@@ -270,37 +364,65 @@ def _philox_noise(seed: int, npart: int, nsteps: int, dim: int):
         yield from block.swapaxes(0, 1)
 
 
-def integrate_nelson(trace: EvolutionTrace, q0_list, cfg: SdeConfig,
-                     params: PhysicalParams,
-                     drift_extra: Optional[Callable] = None,
-                     drift_override: Optional[str] = None) -> TrajectoryEnsemble:
-    """Euler-Maruyama integration dq = b dt + sqrt(2 nu) dW through frames.
+def integrate_nelson_lockstep(trace: EvolutionTrace, q0_list, cfg: SdeConfig,
+                              params: PhysicalParams,
+                              drift_overrides: Sequence[Optional[str]],
+                              drift_extra: Optional[Callable] = None,
+                              keep: Optional[Sequence[int]] = None) -> list:
+    """Euler-Maruyama integration dq = b dt + sqrt(2 nu) dW of one ensemble
+    per drift rule, all from q0 and driven by the same noise rows.
 
-    drift_override: None for the full forward drift v + u, "zero" for a
-    pure-Brownian control run (b forced to 0).
+    Each ensemble equals what `integrate_nelson` returns for its rule with
+    the same arguments, but every noise row is drawn once for all rules.
+    drift_overrides: one entry per ensemble, None for the full forward
+    drift v + u, "zero" for a pure-Brownian control run (b forced to 0).
+    keep: the step indices to record (negative ones count from the end);
+    None records every step.
     """
-    if drift_override not in (None, "zero"):
-        raise ValueError(
-            f"drift_override must be None or 'zero', got {drift_override!r}")
+    overrides = tuple(drift_overrides)
+    for override in overrides:
+        if override not in (None, "zero"):
+            raise ValueError(
+                f"drift_override must be None or 'zero', got {override!r}")
+    if not overrides:
+        raise ValueError("need at least one drift rule")
     amp = np.sqrt(2.0 * params.nu * cfg.dt)
 
     def make_step(interp, npart, nsteps):
         grid = interp.grid
         noise = _philox_noise(cfg.rng_seed, npart, nsteps, grid.dim)
 
-        def step(t, vf, q):
-            if drift_override == "zero":
-                b = np.zeros_like(q)
-            else:
-                b = _velocity(vf, q, osmotic=True)
-            if drift_extra is not None:
-                b = b + drift_extra(t, q)
-            return grid.wrap(q + b * cfg.dt + amp * next(noise))
+        def advance(t, vf, qs, cells):
+            kick = amp * next(noise)
+            out = []
+            for override, q, cell in zip(overrides, qs, cells):
+                b = 0.0 if override == "zero" else _gather_axes(vf.b, cell)
+                if drift_extra is not None:
+                    b = b + drift_extra(t, q)
+                out.append(grid.wrap(q + b * cfg.dt + kick))
+            return out
 
-        return step
+        return advance
 
     return _transport(trace, q0_list, cfg.dt, cfg.steps, params, "nelson",
-                      make_step)
+                      keep, len(overrides), make_step)
+
+
+def integrate_nelson(trace: EvolutionTrace, q0_list, cfg: SdeConfig,
+                     params: PhysicalParams,
+                     drift_extra: Optional[Callable] = None,
+                     drift_override: Optional[str] = None,
+                     keep: Optional[Sequence[int]] = None) -> TrajectoryEnsemble:
+    """Euler-Maruyama integration dq = b dt + sqrt(2 nu) dW through frames.
+
+    drift_override: None for the full forward drift v + u, "zero" for a
+    pure-Brownian control run (b forced to 0).
+    keep: the step indices to record (negative ones count from the end);
+    None records every step.
+    """
+    return integrate_nelson_lockstep(trace, q0_list, cfg, params,
+                                     (drift_override,), drift_extra,
+                                     keep)[0]
 
 
 def static_trace(psi: Wavefunction) -> EvolutionTrace:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -113,6 +114,23 @@ class TestRuns:
                                     "method": "certificate"},
             "decomposition": {"rows": 16, "cols": 16, "status": "infeasible",
                               "method": "certificate"}}
+
+    def test_nelson_born_memory_flat_in_steps(self, tmp_path):
+        # 10^4 steps of 500 paths: a full record of the diffusion run and
+        # its control holds 2 * 500 * 10001 * 8 B = 80 MB
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "nelson_born", "seed": 11,
+            "params": {"n_traj": 500, "t_final": 10.0, "bins": 20}})
+        full_record = 2 * 500 * 10001 * 8
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * full_record
+        assert len((tmp_path / "out" / "paths_sample.csv").read_text()
+                   .splitlines()) == 1 + 500 * 101
 
     def test_one_failed_seed_fails_equivariance(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

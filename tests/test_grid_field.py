@@ -44,6 +44,36 @@ class TestGrid:
         assert g.wrap(np.array([5.0]))[0] == pytest.approx(-5.0)
         assert g.wrap(np.array([7.3]))[0] == pytest.approx(-2.7)
 
+    @staticmethod
+    def _assert_wrap_is_modulo(g, x):
+        # the float-modulo form wrap replaced, compared bit for bit so that
+        # the sign of zero counts
+        half = 0.5 * g.length
+        expect = (x + half) % g.length - half
+        assert np.array_equal(g.wrap(x).view(np.int64), expect.view(np.int64))
+
+    @pytest.mark.parametrize("length", [7.3, 20.0, 30.0, 40.0])
+    def test_wrap_equals_modulo_uniform(self, length):
+        g = make_grid(1, length, 64)
+        x = np.random.default_rng(1).uniform(-1.5 * length, 1.5 * length,
+                                             10 ** 6)
+        self._assert_wrap_is_modulo(g, x)
+
+    @pytest.mark.parametrize("length", [7.3, 20.0, 30.0, 40.0])
+    def test_wrap_equals_modulo_at_edges(self, length):
+        g = make_grid(1, length, 64)
+        half = 0.5 * length
+        edges = np.array([half, -half, 0.0, -0.0, 5e-324, -5e-324])
+        x = np.concatenate([edges, np.nextafter(edges, np.inf),
+                            np.nextafter(edges, -np.inf)])
+        self._assert_wrap_is_modulo(g, x)
+
+    def test_wrap_reaches_upper_edge(self):
+        # the documented exception to [-L/2, L/2): a point just below -L/2
+        # folds to exactly +L/2
+        g = make_grid(1, 20.0, 64)
+        assert g.wrap(np.array([np.nextafter(-10.0, -np.inf)]))[0] == 10.0
+
     def test_2d_shapes(self):
         g = make_grid(2, 10.0, 32)
         assert g.shape == (32, 32)

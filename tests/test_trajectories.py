@@ -11,17 +11,20 @@ from sllab.grid_field import (
     make_grid,
     plane_wave,
 )
+from sllab.measurement import PointerModel, coupling_drift, evolve_pointer
 from sllab.trajectories import (
     SdeConfig,
     bohm_velocity,
     integrate_bohmian,
     integrate_nelson,
+    integrate_nelson_lockstep,
     interpolate_grid,
     nelson_drift,
     static_trace,
     velocity_field,
 )
 from oracles import free_gaussian_bohm_path
+from test_bit_identity import _node_state
 
 QUANTUM = PhysicalParams.quantum()
 
@@ -71,6 +74,19 @@ class TestInterpolation:
         out = interpolate_grid(f, g, np.array([[10.0 - 1e-9]]))
         # between last grid point (63) and its periodic neighbor (0)
         assert 0.0 <= out[0] <= 63.0
+
+    def test_upper_edge_folds_to_first_point_1d(self):
+        # Grid.wrap can return exactly +L/2, whose base index n folds to 0
+        g = make_grid(1, 20.0, 64)
+        f = np.random.default_rng(0).normal(size=64)
+        assert interpolate_grid(f, g, np.array([[10.0]]))[0] == f[0]
+
+    def test_upper_edge_folds_to_first_point_2d(self):
+        g = make_grid(2, 20.0, 32)
+        f = np.random.default_rng(0).normal(size=(32, 32))
+        out = interpolate_grid(f, g, np.array([[10.0, 10.0], [10.0, -10.0],
+                                               [-10.0, 10.0]]))
+        assert list(out) == [f[0, 0], f[0, 0], f[0, 0]]
 
     def test_2d_interpolation(self):
         g = make_grid(2, 20.0, 32)
@@ -199,3 +215,95 @@ class TestNelson:
         ens = integrate_nelson(trace, np.zeros((5, 1)), cfg, QUANTUM)
         assert np.all(ens.positions >= -10.0)
         assert np.all(ens.positions < 10.0)
+
+
+def _moving_case():
+    grid = make_grid(1, 20.0, 128)
+    cfg = EvolutionConfig(dt=1e-3, steps=200, params=QUANTUM,
+                          potential=PotentialSpec.harmonic(),
+                          snapshot_stride=10)
+    trace = evolve(_node_state(grid, 0.8), cfg)
+    q0 = np.linspace(-3.0, 3.0, 13).reshape(-1, 1)  # q0[6] sits on the node
+
+    def extra(t, q):
+        return 0.3 * np.sin(q + t)
+
+    return trace, q0, 1e-2, SdeConfig(dt=1e-2, rng_seed=5), None, extra
+
+
+def _static_case():
+    # 600 Nelson steps: the noise crosses a block boundary
+    trace = static_trace(_node_state(make_grid(1, 20.0, 64), 0.0))
+    q0 = np.linspace(-2.0, 2.0, 5).reshape(-1, 1)  # q0[2] on the node
+    return trace, q0, 1e-2, SdeConfig(dt=1e-2, rng_seed=3, steps=600), 40, \
+        None
+
+
+def _pointer_case():
+    model = PointerModel(grid=make_grid(2, 20.0, 32),
+                         c=(np.sqrt(0.5), np.sqrt(0.5)))
+    trace = evolve_pointer(model, QUANTUM)
+    q0 = np.array([[2.5, 0.0], [-2.5, 0.3], [2.2, -0.4], [-2.8, 0.1],
+                   [0.0, 0.0], [2.5, 9.0]])  # q0[5] in the node region
+    return trace, q0, 1e-2, SdeConfig(dt=1e-2, rng_seed=9), None, \
+        coupling_drift(model)
+
+
+CASES = {"moving": _moving_case, "static": _static_case,
+         "pointer": _pointer_case}
+
+
+def _bits(a):
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _run(integrator, case, keep=None):
+    trace, q0, dt, sde, bohm_steps, extra = case
+    if integrator == "bohmian":
+        return integrate_bohmian(trace, q0, dt, QUANTUM, steps=bohm_steps,
+                                 drift_extra=extra, keep=keep)
+    return integrate_nelson(trace, q0, sde, QUANTUM, drift_extra=extra,
+                            keep=keep)
+
+
+class TestRecordingSchedule:
+    @pytest.mark.parametrize("integrator", ["bohmian", "nelson"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_kept_columns_equal_full_record(self, name, integrator):
+        case = CASES[name]()
+        full = _run(integrator, case)
+        last = full.times.size - 1
+        cols = [0, 1, 7, last // 2, last]
+        for keep in (cols, [3, -1], [-1]):
+            part = _run(integrator, case, keep=keep)
+            idx = np.arange(last + 1)[keep]
+            assert _bits(part.times) == _bits(full.times[idx])
+            assert _bits(part.positions) == _bits(full.positions[:, idx])
+            assert _bits(part.node_flags) == _bits(full.node_flags)
+
+    @pytest.mark.parametrize("keep", [[], [5, 5], [9, 2], [41], [-42]])
+    def test_bad_schedule_rejected(self, keep):
+        trace, q0, dt, _, steps, _ = _static_case()
+        with pytest.raises(ValueError, match="keep"):
+            integrate_bohmian(trace, q0, dt, QUANTUM, steps=steps, keep=keep)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_lockstep_equals_separate_runs(self, name):
+        trace, q0, _, sde, _, extra = CASES[name]()
+        ens, ctrl = integrate_nelson_lockstep(trace, q0, sde, QUANTUM,
+                                              (None, "zero"),
+                                              drift_extra=extra)
+        for got, override in ((ens, None), (ctrl, "zero")):
+            want = integrate_nelson(trace, q0, sde, QUANTUM,
+                                    drift_extra=extra,
+                                    drift_override=override)
+            assert _bits(got.times) == _bits(want.times)
+            assert _bits(got.positions) == _bits(want.positions)
+            assert _bits(got.node_flags) == _bits(want.node_flags)
+
+    def test_unknown_rule_rejected(self):
+        trace, q0, _, sde, _, _ = _static_case()
+        with pytest.raises(ValueError, match="drift_override"):
+            integrate_nelson_lockstep(trace, q0, sde, QUANTUM, (None, "off"))
