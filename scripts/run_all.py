@@ -2,8 +2,9 @@
 """Run every config in configs/ and print a pass/fail table.
 
 Usage: python scripts/run_all.py [--out-root runs] [--skip NAME ...]
-The slow stochastic experiments (equivariance, nelson_born) take a few
-minutes each at their default sizes.
+At their default sizes, on a 2-core host, nelson_born takes about 19 s,
+lambda_sweep about 10 s, equivariance about 5 s and relaxation about
+3 s; every other config finishes in under 2 s.
 """
 
 import argparse
