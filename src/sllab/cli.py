@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical abort,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -23,29 +22,9 @@ EXIT_NUMERIC = 3
 EXIT_ASSERT = 4
 
 
-def _apply_threads(threads):
-    if threads is None:
-        threads = os.environ.get("SLLAB_THREADS")
-    if threads is None:
-        return
-    try:
-        n = int(threads)
-        if n < 1:
-            raise ValueError
-    except ValueError:
-        print(f"config error: invalid thread count {threads!r}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 def _build_parser():
     ap = argparse.ArgumentParser(prog="sllab",
                                  description="stochastic-mechanics lab")
-    ap.add_argument("--threads", default=None,
-                    help="sets the OMP/OpenBLAS/MKL thread variables (or "
-                         "env SLLAB_THREADS); see README")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     run = sub.add_parser("run", help="execute an experiment config")
@@ -163,7 +142,6 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    _apply_threads(args.threads)
     from .experiments import ConfigError
 
     handler = {"run": _cmd_run, "validate": _cmd_validate,

@@ -1,22 +1,25 @@
 """Contextuality analyses over finite empirical models.
 
-No-signalling audit, possibilistic global-section enumeration,
-LP decomposition into deterministic global assignments (with a Bell-type
-certificate from the dual on failure), the contextual fraction, and the
-CHSH functional for bipartite 2-setting 2-outcome scenarios.
+No-signalling audit, possibilistic global-section enumeration, the
+contextual fraction, and the CHSH functional for bipartite 2-setting
+2-outcome scenarios.  One LP per model gives the contextual fraction,
+the decomposition into deterministic global assignments and, when there
+is none, a Bell-type certificate taken from the LP's dual.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .scenario import EmpiricalModel, Scenario, ScenarioError
 from .simplex import LpResult, solve_lp
 
 ENUM_GUARD = 10 ** 6
-LP_GUARD = 10 ** 4
+LP_GUARD = 2 ** 14
 
 
 class GuardExceeded(RuntimeError):
@@ -50,55 +53,63 @@ def check_no_signalling(model: EmpiricalModel, tol: float = 1e-9) -> NoSignallin
     return NoSignallingReport(max_violation=worst, witness=witness)
 
 
+def _context_hits(scenario: Scenario):
+    """Yield (context, hits): hits[g] indexes `outcomes_of(context)` at
+    the outcome that global assignment g gives the context.  Assignments
+    are numbered in `global_assignments()` order, mixed radix over the
+    sorted observables, each digit indexing its declared outcomes."""
+    g = np.arange(scenario.n_global_assignments())
+    stride, s = {}, 1
+    for name in sorted(scenario.observables, reverse=True):
+        stride[name] = s
+        s *= len(scenario.observables[name])
+    for ctx in scenario.contexts:
+        hits = np.zeros_like(g)
+        for o in ctx:
+            radix = len(scenario.observables[o])
+            hits = hits * radix + g // stride[o] % radix
+        yield ctx, hits
+
+
+def _assignments(scenario: Scenario, indices) -> list:
+    """The global assignments numbered `indices`, as the dicts of
+    `Scenario.global_assignments()`."""
+    names = sorted(scenario.observables)
+    digits = np.unravel_index(np.asarray(indices, dtype=np.intp),
+                              [len(scenario.observables[o]) for o in names])
+    columns = [[scenario.observables[o][k] for k in d.tolist()]
+               for o, d in zip(names, digits)]
+    return [dict(zip(names, combo)) for combo in zip(*columns)]
+
+
 def enumerate_global_sections(model: EmpiricalModel) -> list:
     """All total outcome assignments consistent with every context support."""
     scenario = model.scenario
     if scenario.n_global_assignments() > ENUM_GUARD:
         raise GuardExceeded("assignment space exceeds enumeration guard")
-    supports = {ctx: model.support(ctx) for ctx in scenario.contexts}
-    sections = []
-    for g in scenario.global_assignments():
-        if all(tuple(g[o] for o in ctx) in supports[ctx]
-               for ctx in scenario.contexts):
-            sections.append(g)
-    return sections
-
-
-def _event_index(scenario: Scenario):
-    """Flattened (context, outcome) event list and lookup table."""
-    events = []
-    for ctx in scenario.contexts:
-        for outcome in scenario.outcomes_of(ctx):
-            events.append((ctx, tuple(outcome)))
-    return events, {e: i for i, e in enumerate(events)}
-
-
-def _assignment_matrix(scenario: Scenario):
-    """Incidence of deterministic assignments on events.
-
-    Returns the events, the assignments and their hits: hits[g] lists, one
-    per context, the index of the event that assignment g restricts to.
-    """
-    events, index = _event_index(scenario)
-    assignments = list(scenario.global_assignments())
-    hits = [[index[(ctx, tuple(g[o] for o in ctx))]
-             for ctx in scenario.contexts] for g in assignments]
-    return events, assignments, hits
+    consistent = np.ones(scenario.n_global_assignments(), dtype=bool)
+    for ctx, hits in _context_hits(scenario):
+        support = model.support(ctx)
+        allowed = np.array([o in support for o in scenario.outcomes_of(ctx)])
+        consistent &= allowed[hits]
+    return _assignments(scenario, np.flatnonzero(consistent))
 
 
 def _lp_inputs(model: EmpiricalModel):
-    """Events, assignments, hits, the 0/1 event-by-assignment matrix and
-    the model's event probabilities, after the size guard."""
+    """Events, per context the event index of every assignment, the 0/1
+    event-by-assignment rows and the event probabilities, after the guard."""
     scenario = model.scenario
     if scenario.n_global_assignments() > LP_GUARD:
         raise GuardExceeded("assignment space exceeds LP guard")
-    events, assignments, hits = _assignment_matrix(scenario)
-    rows = [[0] * len(assignments) for _ in events]
-    for g, hit in enumerate(hits):
-        for e in hit:
-            rows[e][g] = 1
+    events, hits, rows = [], [], []
+    for ctx, h in _context_hits(scenario):
+        outcomes = scenario.outcomes_of(ctx)
+        block = h == np.arange(len(outcomes))[:, None]
+        rows += block.astype(np.int8).tolist()
+        hits.append(h + len(events))
+        events += [(ctx, outcome) for outcome in outcomes]
     p = [model.prob(ctx, outcome) for ctx, outcome in events]
-    return events, assignments, hits, rows, p
+    return events, hits, rows, p
 
 
 def _lp_record(res: LpResult, rows) -> dict:
@@ -129,43 +140,26 @@ class DecompositionResult:
     lp: dict | None = None             # see _lp_record
 
 
-def _normalize_certificate(y, events, hits, p):
-    vals = [sum(y[e] for e in hit) for hit in hits]
-    model_val = sum(yi * pi for yi, pi in zip(y, p))
+def _normalize_certificate(ray, events, hits, p):
+    """The Certificate of a Farkas ray for M x = p (ray.M <= 0 < ray.p)."""
+    vals = sum(np.asarray(ray)[h] for h in hits).tolist()
     hi, lo = max(vals), min(vals)
+    model_val = sum(yi * pi for yi, pi in zip(ray, p))
     width = hi - lo
     if width == 0:
         scale, shift = 1, 2 - hi
     else:
         scale = 4 / width if isinstance(width, Fraction) else 4.0 / width
         shift = 2 - scale * hi
-    n_ctx = len({ctx for ctx, _ in events})
+    n_ctx = len(hits)
     # Each assignment (and each normalized model) hits every context once,
     # so adding shift/n_ctx per event shifts all functional values equally.
-    coeffs = {e: scale * yi + shift / n_ctx for e, yi in zip(events, y)}
+    coeffs = {e: scale * yi + shift / n_ctx for e, yi in zip(events, ray)}
     return Certificate(
         coefficients=coeffs,
         classical_bound=scale * hi + shift,
         value=scale * model_val + shift,
     )
-
-
-def noncontextual_decompose(model: EmpiricalModel) -> DecompositionResult:
-    """Convex decomposition into deterministic global assignments, or a
-    separating Bell-type certificate from the LP dual."""
-    events, assignments, hits, A_eq, p = _lp_inputs(model)
-    nvar = len(assignments)
-    res = solve_lp([0] * nvar, A_eq=A_eq, b_eq=p)
-    lp = _lp_record(res, A_eq)
-    if res.status == "optimal":
-        tol = 0 if model.is_exact() else 1e-12
-        weights = [(assignments[g], res.x[g]) for g in range(nvar)
-                   if res.x[g] > tol]
-        return DecompositionResult(feasible=True, weights=weights, lp=lp)
-    if res.status != "infeasible":
-        raise RuntimeError(f"unexpected LP status {res.status}")
-    cert = _normalize_certificate(res.farkas, events, hits, p)
-    return DecompositionResult(feasible=False, certificate=cert, lp=lp)
 
 
 @dataclass
@@ -175,28 +169,49 @@ class ContextualFractionResult:
     dual_gap: float
     subnormalized_weights: list
     lp: dict                           # see _lp_record
+    decomposition: DecompositionResult
 
 
 def contextual_fraction(model: EmpiricalModel) -> ContextualFractionResult:
     """1 minus the largest total weight of a subnormalized noncontextual
-    part dominated by the model (LP relaxation; 0 iff noncontextual)."""
-    _, assignments, _, A_ub, p = _lp_inputs(model)
-    nvar = len(assignments)
-    res = solve_lp([1] * nvar, A_ub=A_ub, b_ub=p)
+    part dominated by the model: max sum(x) s.t. M x <= p, x >= 0.
+
+    Per context, each column of M and p sum to 1.  So at CF = 0 the optimal
+    x sums to 1 and M x = p: it is the decomposition.  At CF > 0 the dual y
+    has y.M >= 1 and p.y = 1 - CF, so -y (shifted by 1/n_ctx per event,
+    which the normalization ignores) is the certificate's Farkas ray.
+    """
+    events, hits, rows, p = _lp_inputs(model)
+    res = solve_lp([1] * model.scenario.n_global_assignments(),
+                   A_ub=rows, b_ub=p)
     if res.status != "optimal":
         raise RuntimeError(f"unexpected LP status {res.status}")
     weight = res.objective
     dual_obj = sum(yi * bi for yi, bi in zip(res.dual, p))
-    gap = abs(float(dual_obj) - float(weight))
     tol = 0 if model.is_exact() else 1e-12
+    support = [g for g, xg in enumerate(res.x) if xg > tol]
+    weights = list(zip(_assignments(model.scenario, support),
+                       [res.x[g] for g in support]))
+    lp = _lp_record(res, rows)
+    if 1 - weight <= tol:
+        dec = DecompositionResult(feasible=True, weights=weights, lp=lp)
+    else:
+        cert = _normalize_certificate([-y for y in res.dual], events, hits, p)
+        dec = DecompositionResult(feasible=False, certificate=cert, lp=lp)
     return ContextualFractionResult(
         fraction=1 - weight,
         noncontextual_weight=weight,
-        dual_gap=gap,
-        subnormalized_weights=[(assignments[g], res.x[g]) for g in range(nvar)
-                               if res.x[g] > tol],
-        lp=_lp_record(res, A_ub),
+        dual_gap=abs(float(dual_obj) - float(weight)),
+        subnormalized_weights=weights,
+        lp=lp,
+        decomposition=dec,
     )
+
+
+def noncontextual_decompose(model: EmpiricalModel) -> DecompositionResult:
+    """Convex decomposition into deterministic global assignments, or a
+    separating Bell-type certificate (from `contextual_fraction`)."""
+    return contextual_fraction(model).decomposition
 
 
 def _chsh_structure(scenario: Scenario):

@@ -530,7 +530,6 @@ def _run_contextuality(p: ContextualityParams, seed, out: Path) -> dict:
         contextual_fraction,
         enumerate_global_sections,
         load_model,
-        noncontextual_decompose,
     )
     from .fixtures import fixture_path
 
@@ -539,12 +538,12 @@ def _run_contextuality(p: ContextualityParams, seed, out: Path) -> dict:
     ns = check_no_signalling(model)
     sections = enumerate_global_sections(model)
     cf = contextual_fraction(model)
-    dec = noncontextual_decompose(model)
+    dec = cf.decomposition
     try:
         chsh = chsh_value(model)
     except Exception:
         chsh = None
-    if cf.fraction == 0:
+    if dec.feasible:
         classification = "noncontextual"
     elif not sections:
         classification = "strongly contextual"
@@ -563,7 +562,7 @@ def _run_contextuality(p: ContextualityParams, seed, out: Path) -> dict:
                                         if dec.certificate else None),
         "chsh": chsh,
         "classification": classification,
-        "lp": {"contextual_fraction": cf.lp, "decomposition": dec.lp},
+        "lp": {"contextual_fraction": cf.lp},
     }
     write_json(report, out / "analysis.json")
     return {

@@ -99,14 +99,6 @@ class TestReport:
         assert main(["report", str(tmp_path / "nope")]) == 2
 
 
-class TestThreads:
-    def test_invalid_thread_count(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--threads", "zero", "fixtures", "list"])
-        assert exc.value.code == 2
-        assert "config error" in capsys.readouterr().err
-
-
 def _doc(experiment, seed=None, **params):
     doc = {"experiment": experiment, "params": params}
     if seed is not None:

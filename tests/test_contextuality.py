@@ -22,6 +22,7 @@ from sllab.contextuality import (
     singlet_chsh_model,
     singlet_state,
 )
+from sllab.contextuality import analysis
 from sllab.contextuality.analysis import GuardExceeded
 from sllab.fixtures import FIXTURE_NAMES, fixture_path
 
@@ -187,6 +188,95 @@ class TestDecomposition:
                     if tuple(g[o] for o in ctx) == outcome)
             best = v if best is None else max(best, v)
         assert best == cert.classical_bound
+
+
+def _chained_singlet(n, full):
+    """Singlet tables p(a, b) = (1 + ab E) / 4, E = -cos 2(ta - tb), at the
+    chained-Bell angles ta_k = k pi/2n, tb_k = (2k+1) pi/4n.  Contexts are
+    every (a_i, b_j) (full) or the chain (a_k, b_k), (a_k+1, b_k), closed
+    by (a_0, b_n-1)."""
+    ta = [k * math.pi / (2 * n) for k in range(n)]
+    tb = [(2 * k + 1) * math.pi / (4 * n) for k in range(n)]
+    pairs = ([(i, j) for i in range(n) for j in range(n)] if full else
+             [(k, k) for k in range(n)] + [((k + 1) % n, k) for k in range(n)])
+    tables = {}
+    for i, j in pairs:
+        e = -math.cos(2 * (ta[i] - tb[j]))
+        tables[(f"a{i}", f"b{j}")] = {(a, b): (1 + a * b * e) / 4
+                                      for a in (1, -1) for b in (1, -1)}
+    scenario = Scenario(observables={f"{s}{k}": (1, -1)
+                                     for s in "ab" for k in range(n)},
+                        contexts=tuple(tables))
+    return EmpiricalModel(scenario=scenario, tables=tables)
+
+
+class TestChainedBell:
+    """The singlet's CF at the chained-Bell angles is 1 - 2N sin^2(pi/4N)
+    (Barrett, Kent & Pironio, PRL 97, 170409 (2006)), for the chain and
+    for all N x N contexts.  N = 7 has 16,384 assignments."""
+
+    @pytest.mark.parametrize("full", [False, True], ids=["chain", "full"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_contextual_fraction(self, n, full):
+        cf = contextual_fraction(_chained_singlet(n, full))
+        assert float(cf.fraction) == pytest.approx(
+            1 - 2 * n * math.sin(math.pi / (4 * n)) ** 2, abs=1e-9)
+        assert not cf.decomposition.feasible
+
+
+def _reference_incidence(scenario):
+    """Events and, per global assignment, the events it hits, by dict
+    lookup over `global_assignments()`."""
+    events = [(ctx, o) for ctx in scenario.contexts
+              for o in scenario.outcomes_of(ctx)]
+    index = {e: i for i, e in enumerate(events)}
+    hits = [[index[(ctx, tuple(g[o] for o in ctx))]
+             for ctx in scenario.contexts]
+            for g in scenario.global_assignments()]
+    return events, hits
+
+
+def _reference_sections(model):
+    return [g for g in model.scenario.global_assignments()
+            if all(tuple(g[o] for o in ctx) in model.support(ctx)
+                   for ctx in model.scenario.contexts)]
+
+
+def _mixed_radix_model():
+    """Three-outcome observables with outcomes declared out of sorted
+    order, contexts listing observables out of sorted order; the tables
+    mix three global assignments."""
+    observables = {"C": (2, 0, 1), "A": ("z", "x", "y"), "B": (1, 0),
+                   "D": (0, 2, 1)}
+    contexts = (("C", "A"), ("A", "D", "B"), ("D", "C"), ("B", "C"))
+    picks = ({"A": "z", "B": 0, "C": 1, "D": 2},
+             {"A": "y", "B": 1, "C": 2, "D": 2},
+             {"A": "x", "B": 0, "C": 0, "D": 1})
+    tables = {ctx: {} for ctx in contexts}
+    for g in picks:
+        for ctx in contexts:
+            out = tuple(g[o] for o in ctx)
+            tables[ctx][out] = tables[ctx].get(out, 0) + F(1, 3)
+    return EmpiricalModel(scenario=Scenario(observables, contexts),
+                          tables=tables)
+
+
+class TestIncidence:
+    @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "mixed_radix"])
+    def test_matches_dict_reference(self, name):
+        model = (_mixed_radix_model() if name == "mixed_radix"
+                 else _fixture(name))
+        events, hits = _reference_incidence(model.scenario)
+        got_events, got_hits, rows, p = analysis._lp_inputs(model)
+        assert got_events == events
+        assert np.array(got_hits).T.tolist() == hits
+        assert rows == [[int(e in hit) for hit in hits]
+                        for e in range(len(events))]
+        assert p == [model.prob(ctx, o) for ctx, o in events]
+        sections = enumerate_global_sections(model)
+        assert sections == _reference_sections(model)
+        assert [list(g) for g in sections] == \
+            [sorted(model.scenario.observables)] * len(sections)
 
 
 class TestChsh:

@@ -1,11 +1,18 @@
 import dataclasses
 import json
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from sllab import experiments, measurement
+from sllab.contextuality import (
+    analysis,
+    contextual_fraction,
+    load_model,
+    simplex,
+)
 from sllab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -13,7 +20,9 @@ from sllab.experiments import (
     load_config,
     run_experiment,
 )
+from sllab.fixtures import FIXTURE_NAMES, fixture_path
 from sllab.io_formats import sha256_file
+from test_lp_certificate import _parity_model
 
 
 def _write(tmp_path, doc, name="cfg.json"):
@@ -111,9 +120,47 @@ class TestRuns:
         assert lp == {
             "contextual_fraction": {"rows": 16, "cols": 16,
                                     "status": "optimal",
-                                    "method": "certificate"},
-            "decomposition": {"rows": 16, "cols": 16, "status": "infeasible",
-                              "method": "certificate"}}
+                                    "method": "certificate"}}
+
+    def test_contextuality_solves_one_lp(self, tmp_path, monkeypatch):
+        calls = []
+        original = simplex.solve_lp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simplex, "solve_lp", counted)
+        monkeypatch.setattr(analysis, "solve_lp", counted)
+        for fixture in ("hardy", "classical_correlated"):
+            calls.clear()
+            cfg = ExperimentConfig.from_dict({
+                "experiment": "contextuality",
+                "params": {"fixture": fixture}})
+            run_experiment(cfg, tmp_path / fixture)
+            assert len(calls) == 1, fixture
+
+    def test_decomposition_agrees_with_fraction(self):
+        models = {name: load_model(fixture_path(name))
+                  for name in FIXTURE_NAMES}
+        frustrated = [[0] * 4 for _ in range(4)]
+        frustrated[3][3] = 1
+        models["frustrated"] = _parity_model(frustrated, Fraction(4, 5))
+        models["local"] = _parity_model([[0] * 4 for _ in range(4)],
+                                        Fraction(4, 5))
+        for name, model in models.items():
+            cf = contextual_fraction(model)
+            dec = cf.decomposition
+            assert dec.feasible == (cf.fraction == 0), name
+            if not dec.feasible:
+                assert dec.certificate.value > \
+                    dec.certificate.classical_bound, name
+                continue
+            for ctx in model.scenario.contexts:
+                for outcome in model.scenario.outcomes_of(ctx):
+                    mass = sum(w for g, w in dec.weights
+                               if tuple(g[o] for o in ctx) == outcome)
+                    assert mass == model.prob(ctx, outcome), (name, ctx)
 
     def test_nelson_born_memory_flat_in_steps(self, tmp_path):
         # 10^4 steps of 500 paths: a full record of the diffusion run and

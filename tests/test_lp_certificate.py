@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sllab.contextuality import (
@@ -116,25 +117,27 @@ def _parity_model(pattern, v):
     return EmpiricalModel(scenario=scenario, tables=tables)
 
 
+@pytest.mark.parametrize("k", [4, 6])
 class TestFourSettingParity:
-    """256 assignments, 64 events: the tableau's size limit, solved exactly
-    by certificate."""
+    """K = 4 is 256 assignments and 64 events, the tableau's size limit;
+    K = 6 is 4096 assignments and 144 events.  Both are solved exactly by
+    certificate."""
 
-    def test_frustrated_pattern(self):
-        pattern = [[0] * 4 for _ in range(4)]
-        pattern[3][3] = 1
+    def test_frustrated_pattern(self, k):
+        pattern = [[0] * k for _ in range(k)]
+        pattern[k - 1][k - 1] = 1
         model = _parity_model(pattern, F(4, 5))
         cf = contextual_fraction(model)
         assert cf.fraction == F(3, 5)
-        assert cf.lp == {"rows": 64, "cols": 256, "status": "optimal",
-                         "method": "certificate"}
+        assert cf.lp == {"rows": 4 * k * k, "cols": 4 ** k,
+                         "status": "optimal", "method": "certificate"}
         dec = noncontextual_decompose(model)
         assert not dec.feasible
         assert dec.lp["method"] == "certificate"
         assert dec.certificate.value > dec.certificate.classical_bound == 2
 
-    def test_local_pattern(self):
-        model = _parity_model([[0] * 4 for _ in range(4)], F(4, 5))
+    def test_local_pattern(self, k):
+        model = _parity_model([[0] * k for _ in range(k)], F(4, 5))
         assert contextual_fraction(model).fraction == 0
         dec = noncontextual_decompose(model)
         assert dec.feasible
