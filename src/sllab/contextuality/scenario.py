@@ -91,8 +91,11 @@ class EmpiricalModel:
                         v not in self.scenario.observables[o]
                         for o, v in zip(ctx, out)):
                     raise ScenarioError(f"outcome {out} invalid for context {ctx}")
-            if abs(float(total) - 1.0) > self.tol:
-                raise ScenarioError(f"table for {ctx} sums to {float(total)}")
+            # an exact table must sum to exactly 1: the LP's decomposition
+            # and certificate rely on it
+            if abs(float(total) - 1.0) > self.tol or (
+                    isinstance(total, Rational) and total != 1):
+                raise ScenarioError(f"table for {ctx} sums to {total}")
             tables[ctx] = {tuple(k): v for k, v in table.items()}
         object.__setattr__(self, "tables", tables)
 

@@ -47,6 +47,12 @@ class TestScenario:
         with pytest.raises(ScenarioError):
             EmpiricalModel(scenario=s, tables={("A",): {(0,): F(3, 4)}})
 
+    def test_exact_table_must_sum_to_one(self):
+        s = Scenario(observables={"A": (0, 1)}, contexts=(("A",),))
+        with pytest.raises(ScenarioError, match="sums to"):
+            EmpiricalModel(scenario=s, tables={
+                ("A",): {(0,): F(1, 2) + F(1, 10 ** 10), (1,): F(1, 2)}})
+
     def test_negative_probability_rejected(self):
         s = Scenario(observables={"A": (0, 1)}, contexts=(("A",),))
         with pytest.raises(ScenarioError):
