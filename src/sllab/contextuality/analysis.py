@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scenario import EmpiricalModel, Scenario, ScenarioError
-from .simplex import LpResult, solve_lp
+from .simplex import LpResult, _integral, solve_lp
 
 ENUM_GUARD = 10 ** 6
 LP_GUARD = 2 ** 14
@@ -142,8 +142,15 @@ class DecompositionResult:
 
 def _normalize_certificate(ray, events, hits, p):
     """The Certificate of a Farkas ray for M x = p (ray.M <= 0 < ray.p)."""
-    vals = sum(np.asarray(ray)[h] for h in hits).tolist()
-    hi, lo = max(vals), min(vals)
+    if all(isinstance(v, Fraction) for v in ray):
+        # the functional at each assignment, summed as integers over one
+        # common denominator: Fraction sums cost a gcd per addition
+        ints, d = _integral(ray)
+        sums = sum(np.array(ints, dtype=object)[h] for h in hits).tolist()
+        hi, lo = Fraction(max(sums), d), Fraction(min(sums), d)
+    else:
+        vals = sum(np.asarray(ray)[h] for h in hits).tolist()
+        hi, lo = max(vals), min(vals)
     model_val = sum(yi * pi for yi, pi in zip(ray, p))
     width = hi - lo
     if width == 0:

@@ -16,12 +16,15 @@ Fourier space, half kick), shared with the pointer model of
 that closes one step also opens the next: at lam < 1 the quantum
 potential is evaluated once per step, from |psi| after the kinetic
 factor (first order in dt for the nonlinear part), and at lam = 1 the
-kick factor is exponentiated once per run.
+kick factor is exponentiated once per run.  The stepper advances a stack
+of fields at once, each with its own lam; `lambda_sweep` runs all its
+fields in one stack, and each row of under 256 KB (n < 16384 in 1-D)
+gives the bytes a separate `evolve` call gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .grid_field import (
     PhysicalParams,
     PotentialSpec,
     Wavefunction,
+    differentiate,
     laplacian,
     quantum_potential_from_abs,
 )
@@ -118,7 +122,6 @@ def lambda_energy(psi: Wavefunction, potential: PotentialSpec,
     if params.lam == 1.0:
         return e
     grid = psi.grid
-    from .grid_field import differentiate
     R = np.abs(psi.values)
     grad_sq = sum(np.abs(differentiate(R, grid, axis=ax, order=1)) ** 2
                   for ax in range(grid.dim))
@@ -129,29 +132,163 @@ def lambda_energy(psi: Wavefunction, potential: PotentialSpec,
 
 def _split_step(psi: np.ndarray, kinetic: np.ndarray, steps: int,
                 half_kick=None, axes=None):
-    """Strang split-step propagation of the field array psi.
+    """Strang split-step propagation of a stack of fields.
 
-    Each step is half kick, `kinetic` factor applied in Fourier space over
-    `axes` (None: all axes), half kick.  half_kick(psi) returns the phase
-    factor of a half-step kick for the field in its current representation;
-    without it the steps are free flight.  A kick changes only the phase,
-    so the factor that closes one step also opens the next: half_kick runs
-    once here, before the first step, and then once per step.  Returns an
-    iterator over the field after each step.
+    psi holds one field per row along its leading axis.  Each step is half
+    kick, `kinetic` factor applied in Fourier space over the field `axes`
+    (None: all field axes), half kick.  half_kick(psi) returns the phase
+    factor of a half-step kick for the stack in its current
+    representation; without it the steps are free flight.  A kick changes
+    only the phase, so the factor that closes one step also opens the
+    next: half_kick runs once here, before the first step, and then once
+    per step.  A factor with the stack's ndim holds one row per field;
+    one with the field's ndim is shared by all rows.  Returns a generator
+    over the stack after each step; sending it a boolean row mask keeps
+    only those rows from then on.
     """
+    fft_axes = tuple(range(1, psi.ndim)) if axes is None else \
+        tuple(ax + 1 for ax in axes)
+    # numpy's complex multiply is not commutative to the last bit, and
+    # for a temporary of 256 KB or more whose shape equals the other
+    # operand's it computes the product in place, operands swapped.  With
+    # the stack's ndim, a one-field stack's kinetic product takes the same
+    # path, bit for bit, as the unstacked field's; a taller stack is never
+    # computed in place, so its rows match single fields under 256 KB.
+    kinetic = kinetic[None]
     factor = None if half_kick is None else half_kick(psi)
+
+    def transform(fn, a):
+        # np.fft.fftn's sequence of 1-D transforms, last axis first,
+        # without its per-call axes bookkeeping
+        for ax in reversed(fft_axes):
+            a = fn(a, axis=ax)
+        return a
 
     def run(psi, factor):
         for _ in range(steps):
             if factor is not None:
                 psi = psi * factor
-            psi = np.fft.ifftn(kinetic * np.fft.fftn(psi, axes=axes), axes=axes)
+            psi = transform(np.fft.ifft,
+                            kinetic * transform(np.fft.fft, psi))
             if half_kick is not None:
                 factor = half_kick(psi)
                 psi = psi * factor
-            yield psi
+            keep = yield psi
+            if keep is not None:
+                psi = psi[keep]
+                if factor is not None and factor.ndim == psi.ndim:
+                    factor = factor[keep]
+                yield None
 
     return run(psi, factor)
+
+
+def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
+    """Propagate the fields psi0s side by side, row i at weight lams[i],
+    and return one trace per row.
+
+    Each row gets the snapshots and checks `evolve` describes.  A row that
+    fails a check is frozen with status "aborted", its detail and the
+    snapshots it had, including one that tripped the lam-energy check; it
+    leaves the stack and the other rows go on.
+    """
+    grid = psi0s[0].grid
+    if any(p.grid != grid for p in psi0s):
+        raise ValueError("all fields of a stack must share one grid")
+    cfg.check_stability(grid)
+    params = cfg.params
+    v = cfg.potential.evaluate(grid)
+    kinetic_phase = np.exp(-1j * params.hbar * grid.ksq() * cfg.dt / (2.0 * params.m))
+    half = np.exp(-0.5j * v * cfg.dt / params.hbar)
+    row_params = [params.with_lambda(lam) for lam in lams]
+    traces = [EvolutionTrace() for _ in psi0s]
+    field_shape = (-1,) + (1,) * grid.dim
+
+    # per row of the stack: its trace index and lam, the norm after the
+    # last step, and max |Q| of the last two kick evaluations (entry 0 at
+    # the start, entry n at the end of step n, so step n spans entries
+    # n - 1 and n; always 0 at lam = 1, where Q is not evaluated)
+    live = np.arange(len(psi0s))
+    lam = np.array(lams, dtype=float)
+    prev_norm = np.ones(len(live))
+    q_prev = np.zeros(len(live))
+    q_last = np.zeros(len(live))
+
+    def half_kick(cur_psi):
+        nonlocal q_prev, q_last
+        sub = lam < 1.0
+        if not sub.any():
+            return half
+        q = quantum_potential_from_abs(np.abs(cur_psi[sub]), grid, params)
+        q_prev, q_last = q_last, q_last.copy()
+        q_last[sub] = np.abs(q).reshape(len(q), -1).max(axis=1)
+        factor = np.empty_like(cur_psi)
+        factor[...] = half
+        veff = v + (lam[sub] - 1.0).reshape(field_shape) * q
+        factor[sub] = np.exp(-0.5j * veff * cfg.dt / params.hbar)
+        return factor
+
+    def snap(i, cur_psi, cur_t, q):
+        wf = Wavefunction(grid, cur_psi.copy(), cur_t)
+        traces[i].snapshots.append(Snapshot(
+            t=cur_t, psi=wf, norm=wf.norm,
+            energy=energy_expectation(wf, cfg.potential, params),
+            max_q=q,
+        ))
+
+    psi = np.stack([p.normalized().values for p in psi0s])
+    t0 = [float(p.t) for p in psi0s]
+    stepper = _split_step(psi, kinetic_phase, cfg.steps, half_kick)
+    for i in live:
+        snap(i, psi[i], t0[i], float(q_last[i]))
+    e_lam0 = [lambda_energy(tr.snapshots[0].psi, cfg.potential, rp)
+              if rp.lam < 1.0 else None
+              for tr, rp in zip(traces, row_params)]
+
+    for step, psi in enumerate(stepper, 1):
+        rows = len(live)
+        finite = np.isfinite(psi.view(float)).reshape(rows, -1).all(axis=1)
+        norm = np.sqrt(np.sum((np.abs(psi) ** 2).reshape(rows, -1), axis=1)
+                       * grid.cell_volume)
+        drift = np.abs(norm - prev_norm)
+        prev_norm = norm
+        snapshot = step % cfg.snapshot_stride == 0
+        if not snapshot and (finite & (drift <= 1e-6)).all():
+            continue
+        keep = np.ones(rows, dtype=bool)
+        for r, i in enumerate(live):
+            t = t0[i] + step * cfg.dt
+            detail = ""
+            if not finite[r]:
+                detail = f"non-finite field at step {step} (t={t:.6g})"
+            elif drift[r] > 1e-6:
+                detail = (f"norm drifted by {drift[r]:.3e} at step {step} "
+                          f"(t={t:.6g}); caustic or nonlinear instability")
+            elif snapshot:
+                snap(i, psi[r], t, max(float(q_prev[r]), float(q_last[r])))
+                if e_lam0[i] is not None:
+                    # the propagator is unitary even at lam < 1, so caustic
+                    # formation shows up as drift of the conserved
+                    # lam-energy, not of the norm
+                    e_lam = lambda_energy(traces[i].snapshots[-1].psi,
+                                          cfg.potential, row_params[i])
+                    if abs(e_lam - e_lam0[i]) > 1e-3 * max(1.0, abs(e_lam0[i])):
+                        detail = (f"lam-energy drifted from {e_lam0[i]:.6g} "
+                                  f"to {e_lam:.6g} at step {step} "
+                                  f"(t={t:.6g}); caustic formation or "
+                                  "nonlinear breakdown")
+            if detail:
+                traces[i].status = "aborted"
+                traces[i].detail = detail
+                keep[r] = False
+        if not keep.all():
+            if not keep.any():
+                break
+            live, lam, prev_norm, q_prev, q_last = (
+                a[keep] for a in (live, lam, prev_norm, q_prev, q_last))
+            stepper.send(keep)
+
+    return traces
 
 
 def evolve(psi0: Wavefunction, cfg: EvolutionConfig) -> EvolutionTrace:
@@ -161,80 +298,9 @@ def evolve(psi0: Wavefunction, cfg: EvolutionConfig) -> EvolutionTrace:
     by more than 1e-6 in a single step or a non-finite value appears;
     for lam < 1 this signals caustic formation / nonlinear breakdown.
     """
-    grid = psi0.grid
-    cfg.check_stability(grid)
-    params = cfg.params
-    v = cfg.potential.evaluate(grid)
-    kinetic_phase = np.exp(-1j * params.hbar * grid.ksq() * cfg.dt / (2.0 * params.m))
-
-    if params.lam == 1.0:
-        half = np.exp(-0.5j * v * cfg.dt / params.hbar)
-        max_q = [0.0]
-
-        def half_kick(cur_psi):
-            return half
-    else:
-        # max |Q| of each kick evaluation: entry 0 at the start, entry n at
-        # the end of step n, so step n spans entries n - 1 and n
-        max_q = []
-
-        def half_kick(cur_psi):
-            q = quantum_potential_from_abs(np.abs(cur_psi), grid, params)
-            max_q.append(float(np.max(np.abs(q))))
-            veff = v + (params.lam - 1.0) * q
-            return np.exp(-0.5j * veff * cfg.dt / params.hbar)
-
-    psi = psi0.normalized().values
-    trace = EvolutionTrace()
-
-    def snap(cur_psi, cur_t, q):
-        wf = Wavefunction(grid, cur_psi.copy(), cur_t)
-        trace.snapshots.append(Snapshot(
-            t=cur_t, psi=wf, norm=wf.norm,
-            energy=energy_expectation(wf, cfg.potential, params),
-            max_q=q,
-        ))
-
-    stepper = _split_step(psi, kinetic_phase, cfg.steps, half_kick)
-    snap(psi, float(psi0.t), max_q[0])
-    prev_norm = 1.0
-    e_lam0 = (lambda_energy(trace.snapshots[0].psi, cfg.potential, params)
-              if params.lam < 1.0 else None)
-
-    for step, psi in enumerate(stepper, 1):
-        t = float(psi0.t) + step * cfg.dt
-
-        if not np.all(np.isfinite(psi.view(float))):
-            trace.status = "aborted"
-            trace.detail = f"non-finite field at step {step} (t={t:.6g})"
-            raise EvolutionAbort(trace.detail, trace)
-        norm = float(np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume))
-        if abs(norm - prev_norm) > 1e-6:
-            trace.status = "aborted"
-            trace.detail = (
-                f"norm drifted by {abs(norm - prev_norm):.3e} at step {step} "
-                f"(t={t:.6g}); caustic or nonlinear instability"
-            )
-            raise EvolutionAbort(trace.detail, trace)
-        prev_norm = norm
-
-        if step % cfg.snapshot_stride == 0:
-            snap(psi, t, max(max_q[-2:]))
-            if params.lam < 1.0:
-                # the propagator is unitary even at lam < 1, so caustic
-                # formation shows up as drift of the conserved lam-energy,
-                # not of the norm
-                wf = trace.snapshots[-1].psi
-                e_lam = lambda_energy(wf, cfg.potential, params)
-                if abs(e_lam - e_lam0) > 1e-3 * max(1.0, abs(e_lam0)):
-                    trace.status = "aborted"
-                    trace.detail = (
-                        f"lam-energy drifted from {e_lam0:.6g} to "
-                        f"{e_lam:.6g} at step {step} (t={t:.6g}); caustic "
-                        "formation or nonlinear breakdown"
-                    )
-                    raise EvolutionAbort(trace.detail, trace)
-
+    trace, = _evolve_rows([psi0], cfg, [cfg.params.lam])
+    if trace.status == "aborted":
+        raise EvolutionAbort(trace.detail, trace)
     return trace
 
 
@@ -277,8 +343,10 @@ def lambda_sweep(psi0: Wavefunction, cfg_base: EvolutionConfig, lambdas,
     If `reference_components` is a list of (wavefunction, weight) pairs,
     each component is also evolved alone at the same lambda and the
     summary's visibility is the coherent-vs-incoherent fringe metric;
-    otherwise visibility is None.  Per-lambda aborts are recorded and the
-    sweep continues.
+    otherwise visibility is None.  All fields at all lambdas advance in one
+    stack.  Per-lambda aborts are recorded and the sweep continues; a
+    lambda whose reference component aborts is recorded as aborted, with
+    visibility None and the component named in its detail.
     """
     lambdas = list(lambdas)
     if not lambdas:
@@ -288,23 +356,29 @@ def lambda_sweep(psi0: Wavefunction, cfg_base: EvolutionConfig, lambdas,
     if sorted(lambdas) != lambdas:
         raise ValueError("lambda values must be sorted ascending")
 
-    entries = []
-    for lam in lambdas:
-        cfg = replace(cfg_base, params=cfg_base.params.with_lambda(lam))
-        try:
-            trace = evolve(psi0, cfg)
-            status, detail = "ok", ""
-        except EvolutionAbort as exc:
-            trace = exc.trace
-            status, detail = "aborted", str(exc)
+    # one stack: per lambda the coherent field, then each component
+    comps = [] if reference_components is None else reference_components
+    group = 1 + len(comps)
+    fields = [psi0] + [comp.normalized() for comp, _ in comps]
+    traces = _evolve_rows(fields * len(lambdas), cfg_base,
+                          [lam for lam in lambdas for _ in range(group)])
 
+    entries = []
+    for k, lam in enumerate(lambdas):
+        trace, *comp_traces = traces[k * group:(k + 1) * group]
+        status, detail = trace.status, trace.detail
+        failed = [(c, tr) for c, tr in enumerate(comp_traces)
+                  if tr.status != "ok"]
+        if status == "ok" and failed:
+            c, tr = failed[0]
+            status = "aborted"
+            detail = f"reference component {c}: {tr.detail}"
         final_rho = trace.final().density() if trace.snapshots else None
         visibility = None
         if status == "ok" and reference_components is not None:
             rho_inc = np.zeros(psi0.grid.shape)
-            for comp, weight in reference_components:
-                comp_trace = evolve(comp.normalized(), cfg)
-                rho_inc = rho_inc + weight * comp_trace.final().density()
+            for (_, weight), tr in zip(comps, comp_traces):
+                rho_inc = rho_inc + weight * tr.final().density()
             visibility = fringe_visibility(final_rho, rho_inc, psi0.grid)
 
         entries.append(SweepEntry(

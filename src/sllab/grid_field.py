@@ -9,12 +9,13 @@ lets every spatial derivative be spectral.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 
 class GridError(ValueError):
@@ -271,26 +272,28 @@ def differentiate(values: np.ndarray, grid: Grid, axis: int = 0, order: int = 1,
                   scheme: str = "spectral") -> np.ndarray:
     """Spatial derivative of a gridded field along one axis.
 
-    The spectral scheme is exact for band-limited fields; central_fd2 is a
-    second-order finite-difference cross-check.
+    `values` is one field or a stack of fields along leading axes; `axis`
+    counts the grid's axes.  The spectral scheme is exact for band-limited
+    fields; central_fd2 is a second-order finite-difference cross-check.
     """
     if order not in (1, 2):
         raise FieldError(f"derivative order must be 1 or 2, got {order}")
     if axis >= grid.dim:
         raise FieldError(f"axis {axis} out of range for dim {grid.dim}")
     values = np.asarray(values)
+    array_axis = axis + values.ndim - grid.dim
     if scheme == "spectral":
         k = grid.wavenumbers(axis)
-        spec = np.fft.fft(values, axis=axis)
+        spec = np.fft.fft(values, axis=array_axis)
         if order == 1:
             spec = spec * (1j * k)
         else:
             spec = spec * (-(k ** 2))
-        out = np.fft.ifft(spec, axis=axis)
+        out = np.fft.ifft(spec, axis=array_axis)
         return out if np.iscomplexobj(values) else out.real
     if scheme == "central_fd2":
-        up = np.roll(values, -1, axis=axis)
-        dn = np.roll(values, 1, axis=axis)
+        up = np.roll(values, -1, axis=array_axis)
+        dn = np.roll(values, 1, axis=array_axis)
         if order == 1:
             return (up - dn) / (2.0 * grid.dx)
         return (up - 2.0 * values + dn) / grid.dx ** 2
@@ -314,13 +317,77 @@ def _nearest_valid_fill(mask: np.ndarray, *values: np.ndarray) -> tuple:
     return tuple(v[idx] for v in values)
 
 
-def _neighbors_flat(shape, flat_index):
-    coords = np.unravel_index(flat_index, shape)
-    for ax in range(len(shape)):
-        for step in (-1, 1):
-            c = list(coords)
-            c[ax] = (c[ax] + step) % shape[ax]
-            yield np.ravel_multi_index(c, shape)
+def _nearest_valid_index_1d(mask: np.ndarray) -> np.ndarray:
+    """Per row of a 2-D mask, the index of the nearest unmasked entry, ties
+    to the left: the indices distance_transform_edt gives each row.  Every
+    row needs at least one unmasked entry."""
+    n = mask.shape[-1]
+    i = np.arange(n)
+    left = np.maximum.accumulate(np.where(mask, -1, i), axis=-1)
+    right = np.minimum.accumulate(np.where(mask, 2 * n, i)[:, ::-1],
+                                  axis=-1)[:, ::-1]
+    return np.where((left >= 0) & (i - left <= right - i), left, right)
+
+
+def _nearest_valid_fill_rows(mask: np.ndarray, values: np.ndarray,
+                             dim: int) -> np.ndarray:
+    """`values` (fields of `dim` axes, stacked along any leading axes) with
+    each field's masked entries replaced by that field's nearest unmasked
+    value."""
+    if not mask.any():
+        return values
+    rows_mask = mask.reshape((-1,) + mask.shape[mask.ndim - dim:])
+    rows = values.reshape(rows_mask.shape)
+    if dim == 1:
+        out = np.take_along_axis(rows, _nearest_valid_index_1d(rows_mask),
+                                 axis=1)
+    else:
+        out = np.stack([_nearest_valid_fill(m, v)[0]
+                        for m, v in zip(rows_mask, rows)])
+    return out.reshape(values.shape)
+
+
+def _unwrap_phase(raw: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
+    """Phase unwrapped breadth-first from flat index `start` over the
+    unmasked points, each point from the neighbour that reached it first;
+    points the search cannot reach are NaN.
+
+    Neighbours are taken in the order (axis 0: -1, +1), (axis 1: -1, +1),
+    periodic, so the search tree, and with it every unwrapped value, is
+    fixed by the field alone.
+    """
+    shape = raw.shape
+    size = raw.size
+    flat = np.arange(size).reshape(shape)
+    nbrs = np.stack([np.roll(flat, -step, axis=ax).ravel()
+                     for ax in range(len(shape)) for step in (-1, 1)], axis=1)
+    valid = ~mask.ravel()
+    edge = valid[:, None] & valid[nbrs]
+    indptr = np.concatenate([[0], np.cumsum(edge.sum(axis=1))])
+    graph = csr_matrix((np.ones(int(indptr[-1])), nbrs[edge], indptr),
+                       shape=(size, size))
+    order, pred = breadth_first_order(graph, start, directed=True,
+                                      return_predecessors=True)
+    raw_flat = raw.ravel()
+    phase = np.full(size, np.nan)
+    phase[start] = raw_flat[start]
+    # BFS order lists the points level by level, and the positions of
+    # their predecessors never decrease along it: level L + 1 is every
+    # point whose predecessor lies in levels 0..L
+    pos = np.empty(size, dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    parent_pos = pos[pred[order[1:]]]
+    hi = 1
+    while hi < len(order):
+        lo, hi = hi, 1 + int(np.searchsorted(parent_pos, hi))
+        pts = order[lo:hi]
+        # np.round gives -0.0 for a small negative quotient; + 0.0 makes
+        # it 0.0, as an integer turn count would be, so that a raw phase
+        # of -0.0 unwraps to 0.0
+        turns = np.round((phase[pred[pts]] - raw_flat[pts])
+                         / (2.0 * np.pi)) + 0.0
+        phase[pts] = raw_flat[pts] + 2.0 * np.pi * turns
+    return phase.reshape(shape)
 
 
 def polar_decompose(psi: Wavefunction, eps_node: float | None = None,
@@ -339,30 +406,7 @@ def polar_decompose(psi: Wavefunction, eps_node: float | None = None,
     if mask.mean() > 0.9:
         raise FieldError("nearly all of the grid is at a node; phase undefined")
 
-    raw = np.angle(psi.values)
-    shape = psi.grid.shape
-    phase = np.full(psi.grid.size, np.nan)
-    raw_flat = raw.ravel()
-    mask_flat = mask.ravel()
-
-    start = int(np.argmax(R))
-    phase[start] = raw_flat[start]
-    queue = deque([start])
-    visited = np.zeros(psi.grid.size, dtype=bool)
-    visited[start] = True
-    visited[mask_flat] = True  # nodes are filled afterwards, not traversed
-    while queue:
-        cur = queue.popleft()
-        for nb in _neighbors_flat(shape, cur):
-            if visited[nb]:
-                continue
-            visited[nb] = True
-            phase[nb] = raw_flat[nb] + 2.0 * np.pi * round(
-                (phase[cur] - raw_flat[nb]) / (2.0 * np.pi)
-            )
-            queue.append(nb)
-
-    phase = phase.reshape(shape)
+    phase = _unwrap_phase(np.angle(psi.values), mask, int(np.argmax(R)))
     phase = _nearest_valid_fill(~np.isfinite(phase), phase)[0]
     return PolarField(grid=psi.grid, R=R, S=hbar * phase, node_mask=mask, hbar=hbar)
 
@@ -379,19 +423,22 @@ def quantum_potential_from_abs(R: np.ndarray, grid: Grid, params: PhysicalParams
                                eps_node: float | None = None) -> np.ndarray:
     """Quantum potential -(hbar^2/2m) * lap(R)/R from an amplitude field.
 
-    At near-node points the value is clamped to the nearest unmasked
-    point; the dynamics keeps equilibrium densities ~R^2 there, so the
+    R is one field or a stack of fields along leading axes; by default
+    each field's node threshold is 1e-6 of its own maximum.  At near-node
+    points the value is clamped to the nearest unmasked point of the same
+    field; the dynamics keeps equilibrium densities ~R^2 there, so the
     clamp affects a vanishing fraction of probability mass.
     """
     if eps_node is None:
-        eps_node = 1e-6 * float(R.max())
+        field_axes = tuple(range(R.ndim - grid.dim, R.ndim))
+        eps_node = 1e-6 * R.max(axis=field_axes, keepdims=True)
     return _quantum_potential_masked(R, R < eps_node, grid, params)
 
 
 def _quantum_potential_masked(R, mask, grid, params) -> np.ndarray:
     safe_R = np.where(mask, 1.0, R)
     q = -(params.hbar ** 2 / (2.0 * params.m)) * laplacian(R, grid).real / safe_R
-    return _nearest_valid_fill(mask, q)[0]
+    return _nearest_valid_fill_rows(mask, q, grid.dim)
 
 
 def quantum_potential(polar: PolarField, params: PhysicalParams) -> np.ndarray:

@@ -126,7 +126,9 @@ def evolve_pointer(model: PointerModel, params: PhysicalParams,
     step = 0
     for epoch_steps, kick in ((n_couple, lambda _: couple_half),
                               (n_settle, None)):
-        for mixed in _split_step(mixed, kin, epoch_steps, kick, axes=(0,)):
+        for rows in _split_step(mixed[None], kin, epoch_steps, kick,
+                                axes=(0,)):
+            mixed = rows[0]
             step += 1
             if not np.all(np.isfinite(mixed.view(float))):
                 raise MeasurementError(f"non-finite field at t={step * dt:.4g}")

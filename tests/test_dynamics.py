@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,14 @@ def _cfg(dt, steps, potential=None, params=QUANTUM, stride=None):
     return EvolutionConfig(dt=dt, steps=steps, params=params,
                            potential=potential or PotentialSpec.free(),
                            snapshot_stride=stride or steps)
+
+
+def _chirp(g):
+    """A Gaussian with a converging phase: at lam = 0 its classical flow
+    focuses into a caustic near t = 1."""
+    x = g.axis_coords
+    vals = np.exp(-x ** 2 / 4.0) * np.exp(-0.5j * x ** 2)
+    return Wavefunction(g, vals).normalized()
 
 
 class TestConfig:
@@ -147,13 +157,30 @@ class TestLambdaRegimes:
         assert len(got_max_q) == len(ref_max_q) == 31
         assert got_max_q == pytest.approx(ref_max_q, rel=1e-7)
 
+    def test_2d_single_q_evaluation_matches_two_evaluation_step(self):
+        # a field constant along axis 0 evolves as its profile along axis
+        # 1; the oracle's FFT runs along the last axis, so it takes the
+        # 2-D field and the 2-D quantum potential as they are
+        lam = 0.5
+        g = make_grid(2, 40.0, 64)
+        y = g.meshgrid()[1]
+        vals = np.exp(-(y - 4.0) ** 2 / 4.0) + np.exp(-(y + 4.0) ** 2 / 4.0)
+        psi0 = Wavefunction(g, vals).normalized()
+        params = QUANTUM.with_lambda(lam)
+        trace = evolve(psi0, _cfg(1e-3, 300, params=params, stride=10))
+        ref_psi, ref_max_q = two_evaluation_lambda_evolve(
+            psi0.values, g.length, np.zeros(g.shape), 1e-3, 300, lam,
+            lambda R: quantum_potential_from_abs(R, g, params), stride=10)
+        assert np.max(np.abs(trace.final().values - ref_psi)) < 1e-12
+        got_max_q = [s.max_q for s in trace.snapshots]
+        assert len(got_max_q) == len(ref_max_q) == 31
+        assert got_max_q == pytest.approx(ref_max_q, rel=1e-7)
+
     def test_classical_caustic_aborts(self):
         # converging classical flow focuses into a caustic; the conserved
         # lam-energy guard must abort rather than return garbage
         g = make_grid(1, 40.0, 512)
-        x = g.axis_coords
-        vals = np.exp(-x ** 2 / 4.0) * np.exp(-0.5j * x ** 2)
-        psi0 = Wavefunction(g, vals).normalized()
+        psi0 = _chirp(g)
         with pytest.raises(EvolutionAbort) as exc:
             evolve(psi0, _cfg(1e-3, 4000, params=PhysicalParams.classical(),
                               stride=100))
@@ -183,6 +210,52 @@ class TestSweep:
         assert len(vis) == 3
         assert vis[0] <= vis[1] <= vis[2]
         assert vis[2] > vis[0]
+
+    @pytest.mark.parametrize("coherent", ["pair", "chirp"])
+    def test_rows_match_serial_evolve(self, coherent):
+        # the sweep runs every lambda and component in one stack; each
+        # entry must be what separate evolve calls give, bit for bit.  The
+        # chirp aborts at lam = 0 on a lam-energy check
+        g = make_grid(1, 40.0, 256)
+        left = gaussian_packet(g, center=-4.0)
+        right = gaussian_packet(g, center=+4.0)
+        psi0 = (Wavefunction(g, left.values + right.values).normalized()
+                if coherent == "pair" else _chirp(g))
+        comps = [(left, 0.5), (right, 0.5)]
+        cfg = _cfg(1e-3, 1500, stride=100)
+        entries = lambda_sweep(psi0, cfg, [0.0, 0.5, 1.0],
+                               reference_components=comps)
+        for e in entries:
+            lam_cfg = replace(cfg, params=cfg.params.with_lambda(e.lam))
+            try:
+                trace, status, detail = evolve(psi0, lam_cfg), "ok", ""
+            except EvolutionAbort as exc:
+                trace, status, detail = exc.trace, "aborted", str(exc)
+            visibility = None
+            if status == "ok":
+                rho_inc = np.zeros(g.shape)
+                for comp, weight in comps:
+                    rho_inc = rho_inc + weight * evolve(
+                        comp.normalized(), lam_cfg).final().density()
+                visibility = fringe_visibility(trace.final().density(),
+                                               rho_inc, g)
+            assert (e.status, e.detail) == (status, detail)
+            assert e.final_density.tobytes() == \
+                trace.final().density().tobytes()
+            assert e.max_q_history == [s.max_q for s in trace.snapshots]
+            assert e.visibility == visibility
+        statuses = [e.status for e in entries]
+        assert statuses == (["ok"] * 3 if coherent == "pair"
+                            else ["aborted", "ok", "ok"])
+
+    def test_component_abort_is_recorded(self):
+        g = make_grid(1, 40.0, 256)
+        entries = lambda_sweep(gaussian_packet(g), _cfg(1e-3, 1500, stride=100),
+                               [0.0, 1.0], reference_components=[(_chirp(g), 1.0)])
+        assert [e.status for e in entries] == ["aborted", "ok"]
+        assert entries[0].visibility is None
+        assert entries[0].detail.startswith("reference component 0: ")
+        assert entries[1].visibility is not None
 
     def test_visibility_zero_for_identical(self):
         g = make_grid(1, 20.0, 128)

@@ -1,6 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import ndimage
 
 from sllab.grid_field import (
     FieldError,
@@ -19,6 +22,7 @@ from sllab.grid_field import (
     polar_decompose,
     quantum_potential,
     quantum_potential_from_abs,
+    _nearest_valid_index_1d,
 )
 from oracles import gaussian_quantum_potential
 
@@ -218,6 +222,96 @@ class TestPolar:
         assert np.max(np.abs(back.values - psi.values)[ok]) < 1e-10
 
 
+def _bfs_unwrap(raw, mask, start):
+    """Breadth-first phase unwrap with a Python queue, neighbours in the
+    order (axis 0: -1, +1), (axis 1: -1, +1): the reference for the
+    graph search in polar_decompose."""
+    shape = raw.shape
+    raw_flat = raw.ravel()
+    phase = np.full(raw.size, np.nan)
+    phase[start] = raw_flat[start]
+    visited = mask.ravel().copy()
+    visited[start] = True
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        coords = np.unravel_index(cur, shape)
+        for ax in range(len(shape)):
+            for step in (-1, 1):
+                c = list(coords)
+                c[ax] = (c[ax] + step) % shape[ax]
+                nb = np.ravel_multi_index(c, shape)
+                if visited[nb]:
+                    continue
+                visited[nb] = True
+                phase[nb] = raw_flat[nb] + 2.0 * np.pi * round(
+                    (phase[cur] - raw_flat[nb]) / (2.0 * np.pi))
+                queue.append(nb)
+    return phase.reshape(shape)
+
+
+class TestPhaseUnwrap:
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (2, 32)])
+    def test_matches_queue_bfs(self, dim, n):
+        rng = np.random.default_rng(dim * n)
+        g = make_grid(dim, 10.0, n)
+        coords = g.meshgrid()
+        for trial in range(6):
+            phase = sum(rng.normal(0, 2) * c ** 2 + rng.normal(0, 4) * c
+                        for c in coords)
+            amp = np.exp(-sum(c ** 2 for c in coords) / rng.uniform(2, 20))
+            amp = amp * rng.random(g.shape) ** 2
+            amp[rng.random(g.shape) < 0.1 * (trial % 3)] = 0.0
+            psi = Wavefunction(g, amp * np.exp(1j * phase))
+            polar = polar_decompose(psi)
+            ref = _bfs_unwrap(np.angle(psi.values), polar.node_mask,
+                              int(np.argmax(polar.R)))
+            ok = np.isfinite(ref)
+            assert polar.S[ok].tobytes() == ref[ok].tobytes()
+
+    def test_negative_zero_phase(self):
+        # np.angle gives -0.0 where the imaginary part is -0.0; unwrapped
+        # from a slightly negative phase, the queue version's round()
+        # returns int 0 there, so S must be +0.0, not -0.0
+        g = make_grid(1, 10.0, 16)
+        vals = np.full(16, complex(1.0, -0.0))
+        vals[0] = 2.0 * np.exp(-0.1j)
+        polar = polar_decompose(Wavefunction(g, vals))
+        ref = _bfs_unwrap(np.angle(vals), polar.node_mask, 0)
+        assert polar.S.tobytes() == ref.tobytes()
+
+
+class TestNearestValidIndex:
+    @staticmethod
+    def _edt(mask):
+        return ndimage.distance_transform_edt(
+            mask, return_distances=False, return_indices=True)[0]
+
+    def test_matches_edt_on_random_masks(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 16, 61):
+            masks = rng.random((400, n)) < rng.random((400, 1))
+            masks[masks.all(axis=1), rng.integers(n)] = False
+            got = _nearest_valid_index_1d(masks)
+            for m, row in zip(masks, got):
+                assert np.array_equal(row, self._edt(m))
+
+    def test_ties_single_points_and_ends(self):
+        rows = [
+            [0, 1, 0],                   # exact tie at the middle
+            [0, 1, 1, 1, 0, 1, 1, 0],    # ties at 2 and 6
+            [1, 1, 1, 0, 1, 1, 1, 1],    # one unmasked point inside
+            [0, 1, 1, 1, 1, 1, 1, 1],    # ... at the left end
+            [1, 1, 1, 1, 1, 1, 1, 0],    # ... at the right end
+            [1, 1, 0, 0, 1, 0, 1, 1],    # masked at both ends
+        ]
+        for r in rows:
+            mask = np.array(r, dtype=bool)
+            got = _nearest_valid_index_1d(mask[None])[0]
+            assert np.array_equal(got, self._edt(mask)), r
+        assert _nearest_valid_index_1d(np.array([[0, 1, 0]], bool))[0, 1] == 0
+
+
 class TestQuantumPotential:
     # Frozen accuracy configuration: the Gaussian's exact Q has zero
     # crossings, so relative error is floored by max(1, |Q_exact|).
@@ -260,3 +354,18 @@ class TestQuantumPotential:
         vals = np.abs(g.axis_coords) * np.exp(-g.axis_coords ** 2 / 4)
         q = quantum_potential_from_abs(vals, g, params)
         assert np.all(np.isfinite(q))
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
+    def test_stack_equals_fields(self, dim, n):
+        # each field of a stack gets its own node threshold and node fill
+        g = make_grid(dim, 20.0, n)
+        params = PhysicalParams.quantum()
+        stack = np.stack([
+            np.abs(gaussian_packet(g, center=c, rho_width=w).values) * s
+            for c, w, s in ((0.0, 1.0, 1.0), (2.0, 0.7, 3.0),
+                            (-3.0, 1.5, 1e-3))])
+        stack[1].flat[::7] = 0.0
+        got = quantum_potential_from_abs(stack, g, params)
+        for field, q in zip(stack, got):
+            assert q.tobytes() == \
+                quantum_potential_from_abs(field, g, params).tobytes()

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +13,9 @@ from sllab.contextuality import (
     load_model,
     noncontextual_decompose,
 )
-from sllab.contextuality import simplex
+from sllab.contextuality import analysis, simplex
 from sllab.contextuality.simplex import solve_lp
-from sllab.fixtures import fixture_path
+from sllab.fixtures import FIXTURE_NAMES, fixture_path
 
 
 def _dot(u, v):
@@ -143,3 +144,39 @@ class TestFourSettingParity:
         assert dec.feasible
         assert dec.lp["method"] == "certificate"
         assert sum(w for _, w in dec.weights) == 1
+
+
+def _fraction_sum_certificate(ray, hits, p):
+    """(classical_bound, value, scale, shift) of the certificate with each
+    assignment's functional value summed as Fractions."""
+    vals = sum(np.asarray(ray)[h] for h in hits).tolist()
+    hi, lo = max(vals), min(vals)
+    width = hi - lo
+    if width == 0:
+        scale, shift = 1, 2 - hi
+    else:
+        scale = 4 / width if isinstance(width, F) else 4.0 / width
+        shift = 2 - scale * hi
+    model_val = sum(yi * pi for yi, pi in zip(ray, p))
+    return scale * hi + shift, scale * model_val + shift, scale, shift
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("parity_k4", "parity_k6"))
+def test_certificate_matches_fraction_sums(name):
+    if name.startswith("parity_k"):
+        k = int(name[-1])
+        pattern = [[0] * k for _ in range(k)]
+        pattern[k - 1][k - 1] = 1
+        model = _parity_model(pattern, F(4, 5))
+    else:
+        model = load_model(fixture_path(name))
+    events, hits, rows, p = analysis._lp_inputs(model)
+    res = solve_lp([1] * model.scenario.n_global_assignments(),
+                   A_ub=rows, b_ub=p)
+    ray = [-y for y in res.dual]
+    cert = analysis._normalize_certificate(ray, events, hits, p)
+    bound, value, scale, shift = _fraction_sum_certificate(ray, hits, p)
+    assert (cert.classical_bound, cert.value) == (bound, value)
+    assert type(cert.classical_bound) is type(bound)
+    assert cert.coefficients == {e: scale * yi + shift / len(hits)
+                                 for e, yi in zip(events, ray)}
