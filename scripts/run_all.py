@@ -3,8 +3,8 @@
 
 Usage: python scripts/run_all.py [--out-root runs] [--skip NAME ...]
 At their default sizes, on a 2-core host, nelson_born takes about 19 s,
-equivariance about 5 s, lambda_sweep and relaxation about 3 s each;
-every other config finishes in under 2 s.
+equivariance about 3 s, lambda_sweep and relaxation about 3 s each,
+measurement about 1 s; every other config finishes in under 1 s.
 """
 
 import argparse

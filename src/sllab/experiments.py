@@ -57,8 +57,8 @@ from .fixtures import FIXTURE_NAMES
 from .measurement import (TRAJECTORY_KINDS, MeasurementError, PointerModel,
                           evolve_pointer, read_out)
 from .svgplot import line_plot
-from .trajectories import SdeConfig, integrate_bohmian, \
-    integrate_nelson, integrate_nelson_lockstep, static_trace, step_times
+from .trajectories import SdeConfig, StepRule, integrate_nelson, \
+    static_trace, step_times, transport
 
 
 class ConfigError(ValueError):
@@ -404,12 +404,15 @@ def _run_equivariance(p: EquivarianceParams, seed, out: Path) -> dict:
                           snapshot_stride=stride)
     trace = evolve(psi0, cfg)
     target = trace.final().density()
+    seeds = [seed + i for i in range(p.n_seeds)]
+    # every seed's ensemble in one transport, each its own array: the
+    # fields are built once, and each gather stays within one ensemble
+    runs = [(sample_density(psi0.density(), grid, p.n_traj, s),
+             StepRule("bohmian")) for s in seeds]
+    ensembles = transport(trace, runs, p.traj_dt, params, keep=[-1])
     rows = []
     passes = 0
-    for i in range(p.n_seeds):
-        sub_seed = seed + i
-        q0 = sample_density(psi0.density(), grid, p.n_traj, sub_seed)
-        ens = integrate_bohmian(trace, q0, p.traj_dt, params, keep=[-1])
+    for sub_seed, ens in zip(seeds, ensembles):
         rep = equivariance_test(ens, target, grid, -1, bins=p.bins)
         passes += rep.p_value > 0.01
         rows.append((sub_seed, rep.chi2, rep.dof, rep.p_value))
@@ -432,13 +435,13 @@ def _run_nelson_born(p: NelsonBornParams, seed, out: Path) -> dict:
     trace = static_trace(psi)
     steps = int(round(p.t_final / p.dt))
     q0 = sample_density(psi.density(), grid, p.n_traj, seed)
-    cfg = SdeConfig(dt=p.dt, rng_seed=seed, steps=steps)
     # the path sample's rows, then the final step that chi2 reads
     rows = range(0, steps + 1, max(1, steps // 100))
     # pure-Brownian control: same q0 and noise rows, drift forced to zero
-    ens, ctrl = integrate_nelson_lockstep(trace, q0, cfg, params,
-                                          (None, "zero"),
-                                          keep=sorted({*rows, steps}))
+    rules = [StepRule("nelson", rng_seed=seed),
+             StepRule("nelson", rng_seed=seed, drift_override="zero")]
+    ens, ctrl = transport(trace, [(q0, rule) for rule in rules], p.dt,
+                          params, steps, keep=sorted({*rows, steps}))
     rep = chi2_against_target(ens.final_positions()[:, 0], psi.density(),
                               grid, p.bins)
     rep_ctrl = chi2_against_target(ctrl.final_positions()[:, 0], psi.density(),
@@ -508,9 +511,9 @@ def _run_measurement(p: MeasurementParams, seed, out: Path) -> dict:
     trace = evolve_pointer(model, params, dt=p.dt)
     reports = {}
     ok = True
-    for kind in p.kinds:
-        rep = read_out(model, params, trace, p.n_traj, seed, kind, p.traj_dt)
-        reports[kind] = rep.as_dict()
+    for rep in read_out(model, params, trace, p.n_traj, seed, p.kinds,
+                        p.traj_dt):
+        reports[rep.kind] = rep.as_dict()
         ok = ok and rep.status == "pass" and rep.overlap < 0.01 \
             and rep.branch_norm_drift < 1e-6
     write_json(reports, out / "outcomes.json")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 import struct
 from pathlib import Path
@@ -70,11 +69,12 @@ def write_field_csv(psi: Wavefunction, path,
     vals = psi.values.ravel()
     columns = [c.ravel() for c in coords] + [
         vals.real, vals.imag, polar.R.ravel(), polar.S.ravel(), q.ravel()]
-    # csv writes a Python float as its repr, so rows of floats round-trip
+    # the bytes csv.writer gives: %r writes a float as its repr, so rows of
+    # floats round-trip, and rows end in \r\n
+    row = ",".join(["%r"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*(c.tolist() for c in columns)))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
 
 
 def write_series_csv(rows, header, path) -> None:
@@ -90,15 +90,17 @@ def write_trajectories_csv(ensemble, path, stride: int = 1) -> None:
     """Columns: traj_id, t, x[, y]."""
     dim = ensemble.positions.shape[2]
     header = ["traj_id", "t", "x"] + (["y"] if dim == 2 else [])
-    # csv writes a number as its str, a float's being its repr: the time
-    # column is formatted once per file and each path id once per path
-    times = [repr(t) for t in ensemble.times[::stride].tolist()]
+    # the bytes csv.writer gives (a float as its repr, rows ending in
+    # \r\n) from one %-format per path: the time column is written into it
+    # once per file and the path id once per path
+    rows = "".join(f"{{id}},{t!r}" + ",%r" * dim + "\r\n"
+                   for t in ensemble.times[::stride].tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for i in range(ensemble.n_trajectories):  # one path at a time
-            axes = ensemble.positions[i, ::stride].T.tolist()
-            writer.writerows(zip(itertools.repeat(str(i)), times, *axes))
+            path_rows = rows.replace("{id}", str(i))
+            fh.write(path_rows % tuple(
+                ensemble.positions[i, ::stride].ravel().tolist()))
 
 
 def canonical_json(doc) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import EvolutionTrace, Snapshot, _split_step
 from .grid_field import Grid, PhysicalParams, Wavefunction
-from .trajectories import SdeConfig, integrate_bohmian, integrate_nelson
+from .trajectories import StepRule, transport
 from .ensemble import sample_density, chi2_against_target
 
 
@@ -216,21 +216,24 @@ def run_measurement(model: PointerModel, params: PhysicalParams, n_traj: int,
                     traj_dt: float = 1e-2) -> OutcomeReport:
     """Full readout: 2D evolution, then `read_out` of one trajectory kind."""
     trace = evolve_pointer(model, params, dt=dt)
-    return read_out(model, params, trace, n_traj, seed, kind, traj_dt)
+    return read_out(model, params, trace, n_traj, seed, (kind,), traj_dt)[0]
 
 
 def read_out(model: PointerModel, params: PhysicalParams,
-             trace: EvolutionTrace, n_traj: int, seed: int, kind: str,
-             traj_dt: float) -> OutcomeReport:
+             trace: EvolutionTrace, n_traj: int, seed: int, kinds,
+             traj_dt: float) -> list:
     """Trajectory transport through an evolved pointer trace and branch
-    statistics.
+    statistics: one OutcomeReport per entry of `kinds`, in order.
 
+    Every kind starts from the same sampled positions, and all of them run
+    in one transport, so each velocity field is built once.
     Fails (raises MeasurementError) when branch overlap at assignment time
     exceeds 1% of probability mass; with no coupling there is a single
     pointer blob and the outcome is ill-defined by construction.
     """
-    if kind not in TRAJECTORY_KINDS:
-        raise MeasurementError(f"unknown trajectory kind {kind!r}")
+    for kind in kinds:
+        if kind not in TRAJECTORY_KINDS:
+            raise MeasurementError(f"unknown trajectory kind {kind!r}")
     centers = _branch_centers_from_marginal(trace)
     if abs(centers[0] - centers[1]) <= model.dy_min:
         raise MeasurementError(
@@ -245,35 +248,35 @@ def read_out(model: PointerModel, params: PhysicalParams,
     rho0 = trace.snapshots[0].psi.density()
     q0 = sample_density(rho0, model.grid, n_traj, seed)
     extra = coupling_drift(model)
-    if kind == "bohmian":
-        ens = integrate_bohmian(trace, q0, traj_dt, params, drift_extra=extra,
-                                keep=[-1])
-    else:
-        cfg = SdeConfig(dt=traj_dt, rng_seed=seed)
-        ens = integrate_nelson(trace, q0, cfg, params, drift_extra=extra,
-                               keep=[-1])
-
-    assign = branch_assign(ens.final_positions(), centers, model.dy_min)
-    counts = [int(np.sum(assign == 0)), int(np.sum(assign == 1))]
-    ambiguous = int(np.sum(assign == -1))
-    n_assigned = counts[0] + counts[1]
-    freqs = [c / max(n_assigned, 1) for c in counts]
-    expected = [abs(model.c[0]) ** 2, abs(model.c[1]) ** 2]
-    ci = [3.0 * np.sqrt(p * (1 - p) / max(n_assigned, 1)) for p in expected]
-
-    # effective collapse: branch-0 conditional x density vs the normalized
-    # branch packet
-    cond_p = _conditional_branch_fit(model, ens, assign, trace, centers)
-
+    rules = {"bohmian": StepRule("bohmian", extra),
+             "nelson": StepRule("nelson", extra, rng_seed=seed)}
+    ensembles = transport(trace, [(q0, rules[kind]) for kind in kinds],
+                          traj_dt, params, keep=[-1])
     drift = _branch_mass_drift(trace, model.t_coupling)
-    ok = all(abs(f - e) <= w for f, e, w in zip(freqs, expected, ci))
-    return OutcomeReport(
-        kind=kind, n_traj=n_traj, counts=counts, frequencies=freqs,
-        expected=expected, ci3sigma=ci, ambiguous=ambiguous, overlap=overlap,
-        branch_centers=centers, branch_norm_drift=drift,
-        conditional_fit_p=cond_p,
-        status="pass" if ok else "fail",
-    )
+    expected = [abs(model.c[0]) ** 2, abs(model.c[1]) ** 2]
+    reports = []
+    for ens in ensembles:
+        assign = branch_assign(ens.final_positions(), centers, model.dy_min)
+        counts = [int(np.sum(assign == 0)), int(np.sum(assign == 1))]
+        ambiguous = int(np.sum(assign == -1))
+        n_assigned = counts[0] + counts[1]
+        freqs = [c / max(n_assigned, 1) for c in counts]
+        ci = [3.0 * np.sqrt(p * (1 - p) / max(n_assigned, 1))
+              for p in expected]
+
+        # effective collapse: branch-0 conditional x density vs the
+        # normalized branch packet
+        cond_p = _conditional_branch_fit(model, ens, assign, trace, centers)
+
+        ok = all(abs(f - e) <= w for f, e, w in zip(freqs, expected, ci))
+        reports.append(OutcomeReport(
+            kind=ens.kind, n_traj=n_traj, counts=counts, frequencies=freqs,
+            expected=expected, ci3sigma=ci, ambiguous=ambiguous,
+            overlap=overlap, branch_centers=centers,
+            branch_norm_drift=drift, conditional_fit_p=cond_p,
+            status="pass" if ok else "fail",
+        ))
+    return reports
 
 
 def _conditional_branch_fit(model, ens, assign, trace, centers) -> float:

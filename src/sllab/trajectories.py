@@ -3,16 +3,23 @@
 Deterministic pilot-wave integration (RK4 on the current velocity
 Im(grad psi / psi) * hbar/m) and stochastic diffusion integration
 (Euler-Maruyama on the forward drift v + u with diffusion coefficient
-nu = hbar/2m) run one transport loop, `_transport`, and differ only in
-their step rule.  Both are vectorized across particles; fields are shared
-read-only and every stochastic path owns a counter-based RNG stream
-keyed by (seed, particle index), so paths are reproducible regardless of
+nu = hbar/2m) are step rules (`StepRule`) of one transport loop,
+`transport`.  Both are vectorized across particles; fields are shared
+read-only and every stochastic path owns a counter-based RNG stream keyed
+by (seed, particle index), so paths are reproducible regardless of
 ensemble size or execution order.
 
+One transport advances any number of ensembles through a trace in
+lockstep, each with its own initial positions and step rule, and each
+bit for bit as it would run alone: every velocity field is built once per
+time for all of them, and rules that share a seed and an ensemble size
+draw each noise row once.  A run of a few noise blocks draws its streams
+through one Philox bit generator re-keyed to each particle's stream, which
+costs less than building a generator per particle and gives the same
+values.
+
 The loop records positions only at the steps a schedule (`keep`) names,
-so memory grows with the ensemble, not with the step count.  Several
-Nelson drift rules can advance in lockstep over one noise stream
-(`integrate_nelson_lockstep`), which draws each noise row once.
+so memory grows with the ensembles, not with the step count.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ from .grid_field import (
 from .dynamics import EvolutionTrace
 
 _NOISE_BLOCK = 512  # time steps of noise generated per particle at once
+# Longest run, in blocks, whose streams share one re-keyed bit generator.
+# Building a generator costs about as much as four reads and writes of a
+# bit generator's state, so a longer run builds one per particle.
+_REKEY_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -168,7 +179,13 @@ def interpolate_grid(field: np.ndarray, grid: Grid,
 
 class FrameInterpolator:
     """Linear-in-time (Re, Im) interpolation of trace snapshots, with
-    velocity grids computed from the interpolated field on demand."""
+    velocity grids computed from the interpolated field on demand.
+
+    The velocity fields of the last two times asked for are kept.  Those
+    are the fields an RK4 step reads after its start, at t + dt/2 and
+    t + dt, so every ensemble of a transport shares them, and the next
+    step starts from the field at t + dt.
+    """
 
     def __init__(self, trace: EvolutionTrace, params: PhysicalParams):
         self.params = params
@@ -176,8 +193,7 @@ class FrameInterpolator:
         self.times = trace.times
         self.frames = [s.psi.values for s in trace.snapshots]
         self.static = len(self.frames) == 1
-        self._cache_t = None
-        self._cache_vf = None
+        self._fields = {}  # time -> VelocityField, the last two asked for
 
     def psi_at(self, t: float) -> np.ndarray:
         if self.static:
@@ -192,10 +208,12 @@ class FrameInterpolator:
     def velocity_at(self, t: float) -> VelocityField:
         if self.static:
             t = 0.0
-        if self._cache_t is not None and t == self._cache_t:
-            return self._cache_vf
-        vf = velocity_field(self.psi_at(t), self.grid, self.params)
-        self._cache_t, self._cache_vf = t, vf
+        vf = self._fields.get(t)
+        if vf is None:
+            vf = velocity_field(self.psi_at(t), self.grid, self.params)
+            if len(self._fields) == 2:
+                del self._fields[next(iter(self._fields))]
+            self._fields[t] = vf
         return vf
 
 
@@ -260,57 +278,140 @@ def _schedule(keep, nsteps: int) -> np.ndarray:
     return cols
 
 
-def _transport(trace: EvolutionTrace, q0_list, dt: float,
-               steps: Optional[int], params: PhysicalParams, kind: str,
-               keep, n_rules: int, make_step: Callable) -> list:
-    """The one step loop of both integrators; returns one ensemble for each
-    of n_rules step rules advanced in lockstep from the same q0.
+@dataclass(frozen=True)
+class StepRule:
+    """How one ensemble of a transport advances by dt.
 
-    make_step(interp, npart, nsteps) returns
-    advance(t, vf, qs, cells) -> qs one dt later, given the velocity field
-    vf at t, the n_rules position arrays and their `_cells`.  A particle is
-    flagged when |psi| at its position is below vf's node level at the
-    start of a step.  Positions are recorded at the steps `keep` names.
+    kind "bohmian": RK4 on the pilot-wave velocity v.  kind "nelson":
+    Euler-Maruyama dq = b dt + sqrt(2 nu) dW on the forward drift
+    b = v + u, with particle i's noise from the stream keyed by
+    (rng_seed, i); drift_override "zero" forces b to 0 (a pure-Brownian
+    control run).  drift_extra(t, q), when given, is added to the velocity
+    or drift.
     """
+
+    kind: str
+    drift_extra: Optional[Callable] = None
+    rng_seed: Optional[int] = None
+    drift_override: Optional[str] = None
+
+    def __post_init__(self):
+        if self.kind not in ("bohmian", "nelson"):
+            raise ValueError(f"unknown step rule kind {self.kind!r}")
+        if self.drift_override not in (None, "zero"):
+            raise ValueError("drift_override must be None or 'zero', got "
+                             f"{self.drift_override!r}")
+
+
+def _pilot_wave_step(rule: StepRule, interp: FrameInterpolator, dt: float):
+    """advance(t, vf, q, cells, kick) -> q one RK4 step later."""
+    grid = interp.grid
+    extra = rule.drift_extra
+
+    def vel(t, vf, cells, q):
+        out = _gather_axes(vf.v, cells)
+        return out if extra is None else out + extra(t, q)
+
+    def vel_at(t, q):
+        return vel(t, interp.velocity_at(t), _cells(grid, q), q)
+
+    def advance(t, vf, q, cells, kick):
+        h = t + 0.5 * dt
+        k1 = vel(t, vf, cells, q)
+        k2 = vel_at(h, grid.wrap(q + 0.5 * dt * k1))
+        k3 = vel_at(h, grid.wrap(q + 0.5 * dt * k2))
+        k4 = vel_at(t + dt, grid.wrap(q + dt * k3))
+        return grid.wrap(q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+    return advance
+
+
+def _diffusion_step(rule: StepRule, interp: FrameInterpolator, dt: float):
+    """advance(t, vf, q, cells, kick) -> q one Euler-Maruyama step later,
+    kick being the step's noise row times sqrt(2 nu dt)."""
+    grid = interp.grid
+    extra = rule.drift_extra
+    zero = rule.drift_override == "zero"
+
+    def advance(t, vf, q, cells, kick):
+        b = 0.0 if zero else _gather_axes(vf.b, cells)
+        if extra is not None:
+            b = b + extra(t, q)
+        return grid.wrap(q + b * dt + kick)
+
+    return advance
+
+
+def transport(trace: EvolutionTrace, runs: Sequence, dt: float,
+              params: PhysicalParams, steps: Optional[int] = None,
+              keep: Optional[Sequence[int]] = None) -> list:
+    """The one step loop of every integrator: one TrajectoryEnsemble for
+    each (q0, StepRule) pair of `runs`, all advanced through the trace in
+    lockstep, in the order given.
+
+    Each ensemble equals, bit for bit, what its pair gives alone; the
+    velocity field of each time is built once for all of them, and Nelson
+    rules with the same seed and ensemble size draw each noise row once.
+    A particle is flagged when |psi| at its position is below the field's
+    node level at the start of a step.
+    steps: at most this many steps (required for a static trace).
+    keep: the step indices to record (negative ones count from the end);
+    None records every step.
+    """
+    if not runs:
+        raise ValueError("need at least one ensemble")
     interp = FrameInterpolator(trace, params)
     grid = interp.grid
-    q = grid.wrap(np.atleast_2d(np.asarray(q0_list, dtype=float)
-                                .reshape(len(q0_list), grid.dim)))
     all_times = step_times(trace, dt, steps)
     nsteps = len(all_times) - 1
-    npart = q.shape[0]
-    if npart == 0:
-        raise ValueError("need at least one initial position")
     cols = _schedule(keep, nsteps)
     slot = {int(c): s for s, c in enumerate(cols)}
+    amp = np.sqrt(2.0 * params.nu * dt)
 
-    positions = [np.empty((npart, len(cols), grid.dim))
-                 for _ in range(n_rules)]
-    flags = [np.zeros(npart, dtype=bool) for _ in range(n_rules)]
+    qs, advances, streams, positions, flags = [], [], [], [], []
+    noise = {}  # (seed, ensemble size) -> its noise rows
+    for q0, rule in runs:
+        q = grid.wrap(np.atleast_2d(np.asarray(q0, dtype=float)
+                                    .reshape(len(q0), grid.dim)))
+        npart = q.shape[0]
+        if npart == 0:
+            raise ValueError("need at least one initial position")
+        if rule.kind == "bohmian":
+            advances.append(_pilot_wave_step(rule, interp, dt))
+            streams.append(None)
+        else:
+            key = (rule.rng_seed, npart)
+            if key not in noise:
+                noise[key] = _philox_noise(rule.rng_seed, npart, nsteps,
+                                           grid.dim)
+            advances.append(_diffusion_step(rule, interp, dt))
+            streams.append(key)
+        qs.append(q)
+        positions.append(np.empty((npart, len(cols), grid.dim)))
+        flags.append(np.zeros(npart, dtype=bool))
 
-    def record(i, qs):
+    def record(i):
         s = slot.get(i)
         if s is not None:
-            for pos, qq in zip(positions, qs):
-                pos[:, s, :] = qq
+            for pos, q in zip(positions, qs):
+                pos[:, s, :] = q
 
-    qs = [q] * n_rules
-    record(0, qs)
-    advance = make_step(interp, npart, nsteps)
+    record(0)
     t0 = float(all_times[0])
     for i in range(nsteps):
         t = t0 + i * dt
         vf = interp.velocity_at(t)
-        cells = [_cells(grid, qq) for qq in qs]
-        for flag, cell in zip(flags, cells):
-            flag |= _gather(vf.abs_psi, cell) < vf.node_level
-        qs = advance(t, vf, qs, cells)
-        record(i + 1, qs)
+        kicks = {key: amp * next(rows) for key, rows in noise.items()}
+        for k, advance in enumerate(advances):
+            cells = _cells(grid, qs[k])
+            flags[k] |= _gather(vf.abs_psi, cells) < vf.node_level
+            qs[k] = advance(t, vf, qs[k], cells, kicks.get(streams[k]))
+        record(i + 1)
 
     times = all_times[cols]
-    return [TrajectoryEnsemble(times=times, positions=pos, kind=kind,
+    return [TrajectoryEnsemble(times=times, positions=pos, kind=rule.kind,
                                node_flags=flag)
-            for pos, flag in zip(positions, flags)]
+            for pos, flag, (_, rule) in zip(positions, flags, runs)]
 
 
 def integrate_bohmian(trace: EvolutionTrace, q0_list, dt: float,
@@ -325,87 +426,51 @@ def integrate_bohmian(trace: EvolutionTrace, q0_list, dt: float,
     keep: the step indices to record (negative ones count from the end);
     None records every step.
     """
-    def make_step(interp, npart, nsteps):
-        grid = interp.grid
+    return transport(trace, [(q0_list, StepRule("bohmian", drift_extra))],
+                     dt, params, steps, keep)[0]
 
-        def vel(t, vf, cells, qq):
-            out = _gather_axes(vf.v, cells)
-            return out if drift_extra is None else out + drift_extra(t, qq)
 
-        def vel_at(t, qq):
-            return vel(t, interp.velocity_at(t), _cells(grid, qq), qq)
-
-        def advance(t, vf, qs, cells):
-            (q,), (cell,) = qs, cells
-            h = t + 0.5 * dt
-            k1 = vel(t, vf, cell, q)
-            k2 = vel_at(h, grid.wrap(q + 0.5 * dt * k1))
-            k3 = vel_at(h, grid.wrap(q + 0.5 * dt * k2))
-            k4 = vel_at(t + dt, grid.wrap(q + dt * k3))
-            return [grid.wrap(q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))]
-
-        return advance
-
-    return _transport(trace, q0_list, dt, steps, params, "bohmian", keep, 1,
-                      make_step)[0]
+def _philox_start(seed: int, i: int, zeros: np.ndarray) -> dict:
+    """The state of np.random.Philox(key=[seed, i]) before its first draw."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": zeros, "key": np.array([seed, i], np.uint64)},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _philox_noise(seed: int, npart: int, nsteps: int, dim: int):
     """Standard normal increments, one (npart, dim) array per step, drawn in
     blocks of _NOISE_BLOCK steps from particle i's Philox stream keyed by
-    (seed, i), so a path does not depend on the ensemble size."""
-    streams = [np.random.Generator(np.random.Philox(key=[seed, i]))
-               for i in range(npart)]
+    (seed, i), so a path does not depend on the ensemble size.
+
+    A run of at most _REKEY_BLOCKS blocks draws every stream through one
+    bit generator: it is set to particle i's state before i's draws, and
+    that state is read back only when another block follows.  A longer run
+    builds a generator per particle.  The values are the same either way.
+    """
+    if -(-nsteps // _NOISE_BLOCK) > _REKEY_BLOCKS:
+        gens = [np.random.Generator(np.random.Philox(key=[seed, i]))
+                for i in range(npart)]
+    else:
+        gens = None
+        bitgen = np.random.Philox()
+        gen = np.random.Generator(bitgen)
+        zeros = np.zeros(4, np.uint64)
+        states = [None] * npart
     for start in range(0, nsteps, _NOISE_BLOCK):
         width = min(_NOISE_BLOCK, nsteps - start)
+        more = start + width < nsteps
         block = np.empty((npart, width, dim))
-        for j, gen in enumerate(streams):
+        for j in range(npart):
+            if gens is not None:
+                block[j] = gens[j].standard_normal((width, dim))
+                continue
+            state = states[j]
+            bitgen.state = (_philox_start(seed, j, zeros) if state is None
+                            else state)
             block[j] = gen.standard_normal((width, dim))
+            if more:
+                states[j] = bitgen.state
         yield from block.swapaxes(0, 1)
-
-
-def integrate_nelson_lockstep(trace: EvolutionTrace, q0_list, cfg: SdeConfig,
-                              params: PhysicalParams,
-                              drift_overrides: Sequence[Optional[str]],
-                              drift_extra: Optional[Callable] = None,
-                              keep: Optional[Sequence[int]] = None) -> list:
-    """Euler-Maruyama integration dq = b dt + sqrt(2 nu) dW of one ensemble
-    per drift rule, all from q0 and driven by the same noise rows.
-
-    Each ensemble equals what `integrate_nelson` returns for its rule with
-    the same arguments, but every noise row is drawn once for all rules.
-    drift_overrides: one entry per ensemble, None for the full forward
-    drift v + u, "zero" for a pure-Brownian control run (b forced to 0).
-    keep: the step indices to record (negative ones count from the end);
-    None records every step.
-    """
-    overrides = tuple(drift_overrides)
-    for override in overrides:
-        if override not in (None, "zero"):
-            raise ValueError(
-                f"drift_override must be None or 'zero', got {override!r}")
-    if not overrides:
-        raise ValueError("need at least one drift rule")
-    amp = np.sqrt(2.0 * params.nu * cfg.dt)
-
-    def make_step(interp, npart, nsteps):
-        grid = interp.grid
-        noise = _philox_noise(cfg.rng_seed, npart, nsteps, grid.dim)
-
-        def advance(t, vf, qs, cells):
-            kick = amp * next(noise)
-            out = []
-            for override, q, cell in zip(overrides, qs, cells):
-                b = 0.0 if override == "zero" else _gather_axes(vf.b, cell)
-                if drift_extra is not None:
-                    b = b + drift_extra(t, q)
-                out.append(grid.wrap(q + b * cfg.dt + kick))
-            return out
-
-        return advance
-
-    return _transport(trace, q0_list, cfg.dt, cfg.steps, params, "nelson",
-                      keep, len(overrides), make_step)
 
 
 def integrate_nelson(trace: EvolutionTrace, q0_list, cfg: SdeConfig,
@@ -420,9 +485,9 @@ def integrate_nelson(trace: EvolutionTrace, q0_list, cfg: SdeConfig,
     keep: the step indices to record (negative ones count from the end);
     None records every step.
     """
-    return integrate_nelson_lockstep(trace, q0_list, cfg, params,
-                                     (drift_override,), drift_extra,
-                                     keep)[0]
+    rule = StepRule("nelson", drift_extra, cfg.rng_seed, drift_override)
+    return transport(trace, [(q0_list, rule)], cfg.dt, params, cfg.steps,
+                     keep)[0]
 
 
 def static_trace(psi: Wavefunction) -> EvolutionTrace:

@@ -22,6 +22,7 @@ from sllab.grid_field import (
     polar_decompose,
     quantum_potential,
     quantum_potential_from_abs,
+    _nearest_valid_fill,
     _nearest_valid_index_1d,
 )
 from oracles import gaussian_quantum_potential
@@ -310,6 +311,32 @@ class TestNearestValidIndex:
             got = _nearest_valid_index_1d(mask[None])[0]
             assert np.array_equal(got, self._edt(mask)), r
         assert _nearest_valid_index_1d(np.array([[0, 1, 0]], bool))[0, 1] == 0
+
+
+class TestNearestValidFill:
+    @staticmethod
+    def _edt_fill(mask, *values):
+        idx = tuple(ndimage.distance_transform_edt(
+            mask, return_distances=False, return_indices=True))
+        return tuple(v[idx] for v in values)
+
+    @pytest.mark.parametrize("shape", [(61,), (16, 16), (13, 7)])
+    def test_matches_edt_gather(self, shape):
+        rng = np.random.default_rng(8)
+        masks = [rng.random(shape) < frac for frac in (0.0, 0.3, 0.7, 0.95)]
+        one_valid = np.ones(shape, dtype=bool)
+        one_valid.flat[rng.integers(one_valid.size)] = False
+        masks.append(one_valid)
+        assert not masks[0].any()
+        for mask in masks:
+            if mask.all():
+                continue
+            values = (rng.normal(size=shape), rng.normal(size=shape))
+            got = _nearest_valid_fill(mask, *values)
+            want = self._edt_fill(mask, *values)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
 
 
 class TestQuantumPotential:

@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sllab import trajectories
 from sllab.grid_field import PhysicalParams, make_grid
 from sllab.measurement import (
     MeasurementError,
     PointerModel,
     branch_assign,
     evolve_pointer,
+    read_out,
     run_measurement,
 )
 
@@ -123,3 +125,26 @@ class TestReadout:
         doc = rep.as_dict()
         assert doc["kind"] == "bohmian"
         assert doc["counts"][0] + doc["counts"][1] + doc["ambiguous"] == 1500
+
+
+class TestOneTransport:
+    def test_kinds_share_velocity_fields(self, monkeypatch):
+        model = _model()
+        trace = evolve_pointer(model, QUANTUM)
+        built = []
+        real = trajectories.velocity_field
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(trajectories, "velocity_field", counted)
+        kinds = ("bohmian", "nelson")
+        both = read_out(model, QUANTUM, trace, 400, 5, kinds, 1e-2)
+        n_both = len(built)
+        apart = [read_out(model, QUANTUM, trace, 400, 5, (kind,), 1e-2)[0]
+                 for kind in kinds]
+        assert n_both < len(built) - n_both
+        assert [r.kind for r in both] == list(kinds)
+        assert [r.as_dict() for r in both] == [r.as_dict() for r in apart]
+

@@ -14,13 +14,15 @@ from sllab.grid_field import (
 from sllab.measurement import PointerModel, coupling_drift, evolve_pointer
 from sllab.trajectories import (
     SdeConfig,
+    StepRule,
+    _philox_noise,
     bohm_velocity,
     integrate_bohmian,
     integrate_nelson,
-    integrate_nelson_lockstep,
     interpolate_grid,
     nelson_drift,
     static_trace,
+    transport,
     velocity_field,
 )
 from oracles import free_gaussian_bohm_path
@@ -288,22 +290,74 @@ class TestRecordingSchedule:
             integrate_bohmian(trace, q0, dt, QUANTUM, steps=steps, keep=keep)
 
 
+def _assert_same(got, want):
+    assert got.kind == want.kind
+    assert _bits(got.times) == _bits(want.times)
+    assert _bits(got.positions) == _bits(want.positions)
+    assert _bits(got.node_flags) == _bits(want.node_flags)
+
+
 class TestLockstep:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_lockstep_equals_separate_runs(self, name):
         trace, q0, _, sde, _, extra = CASES[name]()
-        ens, ctrl = integrate_nelson_lockstep(trace, q0, sde, QUANTUM,
-                                              (None, "zero"),
-                                              drift_extra=extra)
-        for got, override in ((ens, None), (ctrl, "zero")):
-            want = integrate_nelson(trace, q0, sde, QUANTUM,
-                                    drift_extra=extra,
-                                    drift_override=override)
-            assert _bits(got.times) == _bits(want.times)
-            assert _bits(got.positions) == _bits(want.positions)
-            assert _bits(got.node_flags) == _bits(want.node_flags)
+        rules = [StepRule("nelson", extra, sde.rng_seed, override)
+                 for override in (None, "zero")]
+        got = transport(trace, [(q0, rule) for rule in rules], sde.dt,
+                        QUANTUM, sde.steps)
+        for ens, rule in zip(got, rules):
+            _assert_same(ens, integrate_nelson(
+                trace, q0, sde, QUANTUM, drift_extra=extra,
+                drift_override=rule.drift_override))
 
     def test_unknown_rule_rejected(self):
-        trace, q0, _, sde, _, _ = _static_case()
+        with pytest.raises(ValueError, match="kind"):
+            StepRule("classical")
         with pytest.raises(ValueError, match="drift_override"):
-            integrate_nelson_lockstep(trace, q0, sde, QUANTUM, (None, "off"))
+            StepRule("nelson", rng_seed=0, drift_override="off")
+
+    @pytest.mark.parametrize("name", ["moving", "pointer"])
+    def test_kinds_in_one_transport_equal_separate_runs(self, name):
+        # the fields each step builds are shared, the noise streams of two
+        # seeds are not
+        trace, q0, dt, sde, _, extra = CASES[name]()
+        other = SdeConfig(dt=sde.dt, rng_seed=sde.rng_seed + 1)
+        got = transport(trace, [(q0, StepRule("bohmian", extra)),
+                                (q0, StepRule("nelson", extra, sde.rng_seed)),
+                                (q0, StepRule("nelson", extra, other.rng_seed))],
+                        dt, QUANTUM)
+        want = [integrate_bohmian(trace, q0, dt, QUANTUM, drift_extra=extra),
+                integrate_nelson(trace, q0, sde, QUANTUM, drift_extra=extra),
+                integrate_nelson(trace, q0, other, QUANTUM, drift_extra=extra)]
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+
+    def test_seeds_in_lockstep_equal_per_seed_runs(self):
+        trace, _, dt, _, _, extra = _moving_case()
+        q0s = [np.random.default_rng(s).uniform(-3.0, 3.0, (n, 1))
+               for s, n in ((0, 9), (1, 4), (2, 13))]
+        got = transport(trace, [(q0, StepRule("bohmian", extra))
+                                for q0 in q0s], dt, QUANTUM, keep=[0, -1])
+        for ens, q0 in zip(got, q0s):
+            _assert_same(ens, integrate_bohmian(
+                trace, q0, dt, QUANTUM, drift_extra=extra, keep=[0, -1]))
+
+    def test_no_ensemble_rejected(self):
+        trace, _, dt, _, steps, _ = _static_case()
+        with pytest.raises(ValueError, match="ensemble"):
+            transport(trace, [], dt, QUANTUM, steps)
+
+
+class TestNoise:
+    # one block; three, re-keyed; six, a generator per particle
+    @pytest.mark.parametrize("nsteps", [60, 1100, 2600])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_streams_equal_per_particle_generators(self, nsteps, dim):
+        seed, npart = 11, 7
+        rows = np.array([row.copy()
+                         for row in _philox_noise(seed, npart, nsteps, dim)])
+        assert rows.shape == (nsteps, npart, dim)
+        for i in range(npart):
+            gen = np.random.Generator(np.random.Philox(key=[seed, i]))
+            assert _bits(rows[:, i]) == _bits(gen.standard_normal((nsteps,
+                                                                   dim)))
