@@ -315,12 +315,9 @@ def _nearest_valid_fill(mask: np.ndarray, *values: np.ndarray) -> tuple:
     writing the masked entries alone when most of the grid is masked."""
     if not mask.any():
         return values
-    if mask.ndim == 1:
-        src = _nearest_valid_index_1d(mask[None])[0]
-    else:
-        idx = ndimage.distance_transform_edt(mask, return_distances=False,
-                                             return_indices=True)
-        src = np.ravel_multi_index(tuple(idx), mask.shape)
+    idx = ndimage.distance_transform_edt(mask, return_distances=False,
+                                         return_indices=True)
+    src = np.ravel_multi_index(tuple(idx), mask.shape)
     return tuple(np.take(v, src) for v in values)
 
 

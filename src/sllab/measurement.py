@@ -225,12 +225,18 @@ def read_out(model: PointerModel, params: PhysicalParams,
     """Trajectory transport through an evolved pointer trace and branch
     statistics: one OutcomeReport per entry of `kinds`, in order.
 
-    Every kind starts from the same sampled positions, and all of them run
-    in one transport, so each velocity field is built once.
+    `kinds` is a sequence of kind names, such as ("bohmian",); a bare
+    string is rejected.  Every kind starts from the same sampled positions,
+    and all of them run in one transport, so each velocity field is built
+    once.
     Fails (raises MeasurementError) when branch overlap at assignment time
     exceeds 1% of probability mass; with no coupling there is a single
     pointer blob and the outcome is ill-defined by construction.
     """
+    if isinstance(kinds, str):
+        raise MeasurementError(
+            f"kinds must be a sequence of trajectory kinds, got the string "
+            f"{kinds!r}; pass ({kinds!r},)")
     for kind in kinds:
         if kind not in TRAJECTORY_KINDS:
             raise MeasurementError(f"unknown trajectory kind {kind!r}")

@@ -13,10 +13,9 @@ One transport advances any number of ensembles through a trace in
 lockstep, each with its own initial positions and step rule, and each
 bit for bit as it would run alone: every velocity field is built once per
 time for all of them, and rules that share a seed and an ensemble size
-draw each noise row once.  A run of a few noise blocks draws its streams
-through one Philox bit generator re-keyed to each particle's stream, which
-costs less than building a generator per particle and gives the same
-values.
+draw each noise row once.  Noise is drawn through one Philox bit
+generator re-keyed to each particle's stream, which costs less than
+building a generator per particle and gives the same values.
 
 The loop records positions only at the steps a schedule (`keep`) names,
 so memory grows with the ensembles, not with the step count.
@@ -39,10 +38,6 @@ from .grid_field import (
 from .dynamics import EvolutionTrace
 
 _NOISE_BLOCK = 512  # time steps of noise generated per particle at once
-# Longest run, in blocks, whose streams share one re-keyed bit generator.
-# Building a generator costs about as much as four reads and writes of a
-# bit generator's state, so a longer run builds one per particle.
-_REKEY_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -301,6 +296,8 @@ class StepRule:
         if self.drift_override not in (None, "zero"):
             raise ValueError("drift_override must be None or 'zero', got "
                              f"{self.drift_override!r}")
+        if self.kind == "nelson" and self.rng_seed is None:
+            raise ValueError("a 'nelson' step rule needs an rng_seed")
 
 
 def _pilot_wave_step(rule: StepRule, interp: FrameInterpolator, dt: float):
@@ -442,28 +439,19 @@ def _philox_noise(seed: int, npart: int, nsteps: int, dim: int):
     blocks of _NOISE_BLOCK steps from particle i's Philox stream keyed by
     (seed, i), so a path does not depend on the ensemble size.
 
-    A run of at most _REKEY_BLOCKS blocks draws every stream through one
-    bit generator: it is set to particle i's state before i's draws, and
-    that state is read back only when another block follows.  A longer run
-    builds a generator per particle.  The values are the same either way.
+    Every stream is drawn through one bit generator: it is set to particle
+    i's state before i's draws, and that state is read back only when
+    another block follows.
     """
-    if -(-nsteps // _NOISE_BLOCK) > _REKEY_BLOCKS:
-        gens = [np.random.Generator(np.random.Philox(key=[seed, i]))
-                for i in range(npart)]
-    else:
-        gens = None
-        bitgen = np.random.Philox()
-        gen = np.random.Generator(bitgen)
-        zeros = np.zeros(4, np.uint64)
-        states = [None] * npart
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    zeros = np.zeros(4, np.uint64)
+    states = [None] * npart
     for start in range(0, nsteps, _NOISE_BLOCK):
         width = min(_NOISE_BLOCK, nsteps - start)
         more = start + width < nsteps
         block = np.empty((npart, width, dim))
         for j in range(npart):
-            if gens is not None:
-                block[j] = gens[j].standard_normal((width, dim))
-                continue
             state = states[j]
             bitgen.state = (_philox_start(seed, j, zeros) if state is None
                             else state)

@@ -148,3 +148,9 @@ class TestOneTransport:
         assert [r.kind for r in both] == list(kinds)
         assert [r.as_dict() for r in both] == [r.as_dict() for r in apart]
 
+    def test_bare_kind_string_rejected(self):
+        model = _model()
+        trace = evolve_pointer(model, QUANTUM)
+        with pytest.raises(MeasurementError, match="sequence"):
+            read_out(model, QUANTUM, trace, 400, 5, "bohmian", 1e-2)
+

@@ -315,6 +315,8 @@ class TestLockstep:
             StepRule("classical")
         with pytest.raises(ValueError, match="drift_override"):
             StepRule("nelson", rng_seed=0, drift_override="off")
+        with pytest.raises(ValueError, match="rng_seed"):
+            StepRule("nelson")
 
     @pytest.mark.parametrize("name", ["moving", "pointer"])
     def test_kinds_in_one_transport_equal_separate_runs(self, name):
