@@ -351,7 +351,7 @@ class TestLockstep:
 
 
 class TestNoise:
-    # one block; three, re-keyed; six, a generator per particle
+    # one block, three and six: states carried across block boundaries
     @pytest.mark.parametrize("nsteps", [60, 1100, 2600])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_streams_equal_per_particle_generators(self, nsteps, dim):
