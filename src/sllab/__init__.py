@@ -32,19 +32,15 @@ from .dynamics import (  # noqa: F401
     lambda_sweep,
 )
 from .trajectories import (  # noqa: F401
-    SdeConfig,
     TrajectoryEnsemble,
-    bohm_velocity,
     integrate_bohmian,
     integrate_nelson,
-    nelson_drift,
     static_trace,
 )
 from .ensemble import (  # noqa: F401
     chi2_against_target,
     coarse_grained_h,
     equivariance_test,
-    estimate_density,
     relaxation_h_series,
     sample_density,
 )

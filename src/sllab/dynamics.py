@@ -96,12 +96,6 @@ class EvolutionTrace:
     def final(self) -> Wavefunction:
         return self.snapshots[-1].psi
 
-    def frame_dt(self) -> float:
-        ts = self.times
-        if len(ts) < 2:
-            raise ValueError("trace has fewer than two snapshots")
-        return float(ts[1] - ts[0])
-
 
 def energy_expectation(psi: Wavefunction, potential: PotentialSpec,
                        params: PhysicalParams) -> float:

@@ -1,5 +1,5 @@
-"""Ensemble statistics: sampling, density estimation, equilibrium tests
-and the coarse-grained relaxation functional."""
+"""Ensemble statistics: sampling, equilibrium tests and the
+coarse-grained relaxation functional."""
 
 from __future__ import annotations
 
@@ -10,14 +10,6 @@ from scipy import stats
 
 from .grid_field import Grid
 from .trajectories import TrajectoryEnsemble
-
-
-@dataclass
-class DensityEstimate:
-    edges: np.ndarray
-    counts: np.ndarray
-    density: np.ndarray
-    n_samples: int
 
 
 @dataclass
@@ -54,22 +46,6 @@ def sample_density(rho_on_grid: np.ndarray, grid: Grid, n: int, seed: int) -> np
     coords = np.column_stack(np.unravel_index(cells, rho.shape))
     # cell j is centered on the grid point x_j
     return -0.5 * grid.length + (coords + jitter) * grid.dx
-
-
-def estimate_density(positions: np.ndarray, bins: int, lo: float, hi: float,
-                     axis: int = 0) -> DensityEstimate:
-    """Histogram density of one coordinate, normalized to unit integral."""
-    if bins < 10:
-        raise ValueError("need at least 10 bins")
-    pos = np.atleast_2d(positions)
-    if pos.size == 0:
-        raise ValueError("no positions to estimate from")
-    x = pos[:, axis]
-    counts, edges = np.histogram(x, bins=bins, range=(lo, hi))
-    width = edges[1] - edges[0]
-    n = len(x)
-    density = counts / (n * width)
-    return DensityEstimate(edges=edges, counts=counts, density=density, n_samples=n)
 
 
 def _merge_low_bins(observed: np.ndarray, expected: np.ndarray, min_expected=5.0):

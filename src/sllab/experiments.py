@@ -57,8 +57,8 @@ from .fixtures import FIXTURE_NAMES
 from .measurement import (TRAJECTORY_KINDS, MeasurementError, PointerModel,
                           evolve_pointer, read_out)
 from .svgplot import line_plot
-from .trajectories import SdeConfig, StepRule, integrate_nelson, \
-    static_trace, step_times, transport
+from .trajectories import StepRule, integrate_nelson, static_trace, \
+    step_times, transport
 
 
 class ConfigError(ValueError):
@@ -482,10 +482,9 @@ def _run_relaxation(p: RelaxationParams, seed, out: Path) -> dict:
     rho_uniform = np.where(np.abs(x) < p.uniform_halfwidth, 1.0, 0.0)
     rho_uniform = rho_uniform / (rho_uniform.sum() * grid.dx)
     q0 = sample_density(rho_uniform, grid, p.n_traj, seed)
-    sde = SdeConfig(dt=p.dt, rng_seed=seed)
     times = [s.t for s in trace.snapshots]
     keep = np.unique(nearest_time_indices(step_times(trace, p.dt), times))
-    ens = integrate_nelson(trace, q0, sde, params, keep=keep)
+    ens = integrate_nelson(trace, q0, p.dt, params, seed, keep=keep)
     frames = [s.psi.density() for s in trace.snapshots]
     series = relaxation_h_series(ens, frames, times, grid, p.coarse_bins)
     write_series_csv(series, ["t", "H"], out / "h_series.csv")

@@ -4,11 +4,15 @@ quantum potential.
 All quantities are in dimensionless simulation units (hbar, m, omega of
 order 1 by default). Grids are periodic on [-L/2, L/2) per axis, which
 lets every spatial derivative be spectral.
+
+One node policy serves the phase, the quantum potential and the
+trajectory velocities: a point whose |psi| is below 1e-6 of its field's
+maximum (`node_level`) is a node, and a quantity there takes its value
+at the nearest point that is not (`fill_nodes`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -109,18 +113,15 @@ def make_grid(dim: int, length: float, npoints: int) -> Grid:
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Mass, action scale, diffusion scale and the quantum-potential weight.
+    """Mass, action scale and the quantum-potential weight.
 
     lam = 1 is the fully quantum regime, lam = 0 the classical ensemble
-    regime; intermediate values are mesoscopic.  sigma is the diffusion
-    scale of the underlying stochastic kinematics; the operational
-    diffusion coefficient used by the stochastic integrator
-    (trajectories.integrate_nelson) is nu = hbar / (2 m).
+    regime; intermediate values are mesoscopic.  The diffusion coefficient
+    of the stochastic kinematics is nu = hbar / (2 m).
     """
 
     m: float = 1.0
     hbar: float = 1.0
-    sigma: float = 1.0
     lam: float = 1.0
 
     def __post_init__(self):
@@ -128,24 +129,16 @@ class PhysicalParams:
             raise ValueError(f"mass must be positive, got {self.m}")
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda weight must lie in [0, 1], got {self.lam}")
 
     @classmethod
-    def consistent(cls, m: float, sigma: float) -> "PhysicalParams":
-        """Construct with hbar = m*sigma and lam = m*sigma/hbar (== 1)."""
-        hbar = m * sigma
-        return cls(m=m, hbar=hbar, sigma=sigma, lam=m * sigma / hbar)
-
-    @classmethod
     def quantum(cls, m: float = 1.0, hbar: float = 1.0) -> "PhysicalParams":
-        return cls(m=m, hbar=hbar, sigma=hbar / m, lam=1.0)
+        return cls(m=m, hbar=hbar, lam=1.0)
 
     @classmethod
     def classical(cls, m: float = 1.0, hbar: float = 1.0) -> "PhysicalParams":
-        return cls(m=m, hbar=hbar, sigma=0.0, lam=0.0)
+        return cls(m=m, hbar=hbar, lam=0.0)
 
     def with_lambda(self, lam: float) -> "PhysicalParams":
         return replace(self, lam=lam)
@@ -307,48 +300,51 @@ def laplacian(values: np.ndarray, grid: Grid, scheme: str = "spectral") -> np.nd
     return out
 
 
-def _nearest_valid_fill(mask: np.ndarray, *values: np.ndarray) -> tuple:
-    """Each of `values` with its entries where mask is True replaced by the
-    nearest unmasked value (the point distance_transform_edt names).  The
-    nearest-point index is found once, as a flat index per entry: one
-    `take` per value gathers faster than a per-axis index tuple, and than
-    writing the masked entries alone when most of the grid is masked."""
+def node_level(amplitude: np.ndarray, dim: int) -> np.ndarray:
+    """The level 1e-6 * max |psi| below which a point of a field is a node.
+
+    `amplitude` is |psi| of one field of `dim` axes or of a stack of them
+    along leading axes; each field gets its own level, shaped to broadcast
+    against the stack.
+    """
+    field_axes = tuple(range(amplitude.ndim - dim, amplitude.ndim))
+    return 1e-6 * amplitude.max(axis=field_axes, keepdims=True)
+
+
+def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray) -> tuple:
+    """Each of `values` with its entries where `mask` is True replaced by
+    the nearest unmasked entry of the same field: the point
+    distance_transform_edt names.  `mask` and `values` hold one field of
+    `dim` axes or a stack of them along leading axes; every field needs
+    an unmasked entry.
+
+    The source of each entry is found once, as a flat index into the
+    stack, and each value is gathered with one `take`.  Along one axis the
+    nearest unmasked index is the running maximum of unmasked indices from
+    the left or the running minimum from the right, ties to the left: the
+    indices of the EDT, at less cost.  A 2-D field runs one EDT.
+    """
     if not mask.any():
         return values
-    idx = ndimage.distance_transform_edt(mask, return_distances=False,
-                                         return_indices=True)
-    src = np.ravel_multi_index(tuple(idx), mask.shape)
-    return tuple(np.take(v, src) for v in values)
-
-
-def _nearest_valid_index_1d(mask: np.ndarray) -> np.ndarray:
-    """Per row of a 2-D mask, the index of the nearest unmasked entry, ties
-    to the left: the indices distance_transform_edt gives each row.  Every
-    row needs at least one unmasked entry."""
-    n = mask.shape[-1]
-    i = np.arange(n)
-    left = np.maximum.accumulate(np.where(mask, -1, i), axis=-1)
-    right = np.minimum.accumulate(np.where(mask, 2 * n, i)[:, ::-1],
-                                  axis=-1)[:, ::-1]
-    return np.where((left >= 0) & (i - left <= right - i), left, right)
-
-
-def _nearest_valid_fill_rows(mask: np.ndarray, values: np.ndarray,
-                             dim: int) -> np.ndarray:
-    """`values` (fields of `dim` axes, stacked along any leading axes) with
-    each field's masked entries replaced by that field's nearest unmasked
-    value."""
-    if not mask.any():
-        return values
-    rows_mask = mask.reshape((-1,) + mask.shape[mask.ndim - dim:])
-    rows = values.reshape(rows_mask.shape)
+    shape = mask.shape[mask.ndim - dim:]
+    fields = mask.reshape((-1,) + shape)
     if dim == 1:
-        out = np.take_along_axis(rows, _nearest_valid_index_1d(rows_mask),
-                                 axis=1)
+        n = shape[0]
+        i = np.arange(n)
+        left = np.maximum.accumulate(np.where(fields, -1, i), axis=-1)
+        right = np.minimum.accumulate(np.where(fields, 2 * n, i)[:, ::-1],
+                                      axis=-1)[:, ::-1]
+        src = np.where((left >= 0) & (i - left <= right - i), left, right)
     else:
-        out = np.stack([_nearest_valid_fill(m, v)[0]
-                        for m, v in zip(rows_mask, rows)])
-    return out.reshape(values.shape)
+        src = np.stack([np.ravel_multi_index(tuple(
+            ndimage.distance_transform_edt(m, return_distances=False,
+                                           return_indices=True)), shape)
+            for m in fields])
+    if len(fields) > 1:
+        src += fields[0].size * np.arange(len(fields)).reshape(
+            (-1,) + (1,) * dim)
+    src = src.reshape(mask.shape)
+    return tuple(np.take(v, src) for v in values)
 
 
 def _unwrap_phase(raw: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
@@ -405,13 +401,13 @@ def polar_decompose(psi: Wavefunction, eps_node: float | None = None,
     """
     R = np.abs(psi.values)
     if eps_node is None:
-        eps_node = 1e-6 * float(R.max())
+        eps_node = node_level(R, psi.grid.dim)
     mask = R < eps_node
     if mask.mean() > 0.9:
         raise FieldError("nearly all of the grid is at a node; phase undefined")
 
     phase = _unwrap_phase(np.angle(psi.values), mask, int(np.argmax(R)))
-    phase = _nearest_valid_fill(~np.isfinite(phase), phase)[0]
+    phase = fill_nodes(~np.isfinite(phase), psi.grid.dim, phase)[0]
     return PolarField(grid=psi.grid, R=R, S=hbar * phase, node_mask=mask, hbar=hbar)
 
 
@@ -434,15 +430,14 @@ def quantum_potential_from_abs(R: np.ndarray, grid: Grid, params: PhysicalParams
     clamp affects a vanishing fraction of probability mass.
     """
     if eps_node is None:
-        field_axes = tuple(range(R.ndim - grid.dim, R.ndim))
-        eps_node = 1e-6 * R.max(axis=field_axes, keepdims=True)
+        eps_node = node_level(R, grid.dim)
     return _quantum_potential_masked(R, R < eps_node, grid, params)
 
 
 def _quantum_potential_masked(R, mask, grid, params) -> np.ndarray:
     safe_R = np.where(mask, 1.0, R)
     q = -(params.hbar ** 2 / (2.0 * params.m)) * laplacian(R, grid).real / safe_R
-    return _nearest_valid_fill_rows(mask, q, grid.dim)
+    return fill_nodes(mask, grid.dim, q)[0]
 
 
 def quantum_potential(polar: PolarField, params: PhysicalParams) -> np.ndarray:

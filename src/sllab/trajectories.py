@@ -19,10 +19,17 @@ building a generator per particle and gives the same values.
 
 The loop records positions only at the steps a schedule (`keep`) names,
 so memory grows with the ensembles, not with the step count.
+`integrate_bohmian` and `integrate_nelson` are its one-ensemble cases,
+and `step_times`, which every transport calls, checks dt and the step
+count.  Velocities at points are read from `velocity_field` grids through
+`interpolate_grid`; node points take the nearest valid value
+(`grid_field.fill_nodes`).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -32,8 +39,9 @@ from .grid_field import (
     Grid,
     PhysicalParams,
     Wavefunction,
-    _nearest_valid_fill,
     differentiate,
+    fill_nodes,
+    node_level,
 )
 from .dynamics import EvolutionTrace
 
@@ -46,23 +54,10 @@ class VelocityField:
     velocity) on a grid (per axis), with |psi| and the level 1e-6 max|psi|
     below which a point is a node."""
 
-    grid: Grid
     v: tuple
     b: tuple
-    valid_mask: np.ndarray
     abs_psi: np.ndarray
     node_level: float
-
-
-@dataclass(frozen=True)
-class SdeConfig:
-    dt: float
-    rng_seed: int
-    steps: Optional[int] = None  # required for static (single-frame) traces
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 @dataclass
@@ -98,18 +93,17 @@ def velocity_field(psi_values: np.ndarray, grid: Grid,
     Near-node points take the value of the nearest valid point.
     """
     absv = np.abs(psi_values)
-    node_level = 1e-6 * float(absv.max())
-    mask = absv < node_level
+    level = node_level(absv, grid.dim).item()
+    mask = absv < level
     safe = np.where(mask, 1.0, psi_values)
     scale = params.hbar / params.m
     ratios = [differentiate(psi_values, grid, axis=ax, order=1) / safe
               for ax in range(grid.dim)]
-    filled = _nearest_valid_fill(mask, *[scale * r.imag for r in ratios],
-                                 *[scale * r.real for r in ratios])
+    filled = fill_nodes(mask, grid.dim, *[scale * r.imag for r in ratios],
+                        *[scale * r.real for r in ratios])
     v, u = filled[:grid.dim], filled[grid.dim:]
-    return VelocityField(grid=grid, v=v,
-                         b=tuple(va + ua for va, ua in zip(v, u)),
-                         valid_mask=~mask, abs_psi=absv, node_level=node_level)
+    return VelocityField(v=v, b=tuple(va + ua for va, ua in zip(v, u)),
+                         abs_psi=absv, node_level=level)
 
 
 def _cells(grid: Grid, points: np.ndarray) -> list:
@@ -212,26 +206,6 @@ class FrameInterpolator:
         return vf
 
 
-def _at_points(fields: tuple, grid: Grid, x) -> np.ndarray:
-    """Per-axis fields interpolated at position(s) x."""
-    out = _gather_axes(fields, _cells(grid, np.atleast_2d(x)))
-    return out[0] if np.ndim(x) <= 1 else out
-
-
-def bohm_velocity(psi_frame: Wavefunction, x,
-                  params: PhysicalParams) -> np.ndarray:
-    """Pilot-wave velocity (hbar/m) Im(grad psi / psi) at position(s) x."""
-    vf = velocity_field(psi_frame.values, psi_frame.grid, params)
-    return _at_points(vf.v, vf.grid, x)
-
-
-def nelson_drift(psi_frame: Wavefunction, x,
-                 params: PhysicalParams) -> np.ndarray:
-    """Forward drift b = v + u at position(s) x."""
-    vf = velocity_field(psi_frame.values, psi_frame.grid, params)
-    return _at_points(vf.b, vf.grid, x)
-
-
 def step_times(trace: EvolutionTrace, dt: float,
                steps: Optional[int] = None) -> np.ndarray:
     """Times t0, t0 + dt, ... of every step of a transport through `trace`:
@@ -239,7 +213,14 @@ def step_times(trace: EvolutionTrace, dt: float,
 
     A moving trace is crossed in whole steps of dt (at most `steps` of
     them); a static (single-frame) trace needs an explicit step count.
+    Every transport starts here, so this is where dt must be a finite
+    number > 0 and steps None or an int >= 0.
     """
+    if not (isinstance(dt, numbers.Real) and math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be a finite number > 0, got {dt!r}")
+    if steps is not None and (isinstance(steps, bool) or not isinstance(
+            steps, numbers.Integral) or steps < 0):
+        raise ValueError(f"steps must be None or an int >= 0, got {steps!r}")
     times = trace.times
     t0 = float(times[0])
     if len(times) == 1:
@@ -296,8 +277,14 @@ class StepRule:
         if self.drift_override not in (None, "zero"):
             raise ValueError("drift_override must be None or 'zero', got "
                              f"{self.drift_override!r}")
-        if self.kind == "nelson" and self.rng_seed is None:
-            raise ValueError("a 'nelson' step rule needs an rng_seed")
+        seed = self.rng_seed
+        if seed is None:
+            if self.kind == "nelson":
+                raise ValueError("a 'nelson' step rule needs an rng_seed")
+        elif (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+              or not 0 <= seed < 2 ** 64):
+            raise ValueError(
+                f"rng_seed must be an int in [0, 2**64), got {seed!r}")
 
 
 def _pilot_wave_step(rule: StepRule, interp: FrameInterpolator, dt: float):
@@ -461,21 +448,22 @@ def _philox_noise(seed: int, npart: int, nsteps: int, dim: int):
         yield from block.swapaxes(0, 1)
 
 
-def integrate_nelson(trace: EvolutionTrace, q0_list, cfg: SdeConfig,
-                     params: PhysicalParams,
+def integrate_nelson(trace: EvolutionTrace, q0_list, dt: float,
+                     params: PhysicalParams, rng_seed: int,
+                     steps: Optional[int] = None,
                      drift_extra: Optional[Callable] = None,
                      drift_override: Optional[str] = None,
                      keep: Optional[Sequence[int]] = None) -> TrajectoryEnsemble:
     """Euler-Maruyama integration dq = b dt + sqrt(2 nu) dW through frames.
 
+    Particle i's noise comes from the stream keyed by (rng_seed, i).
     drift_override: None for the full forward drift v + u, "zero" for a
     pure-Brownian control run (b forced to 0).
     keep: the step indices to record (negative ones count from the end);
     None records every step.
     """
-    rule = StepRule("nelson", drift_extra, cfg.rng_seed, drift_override)
-    return transport(trace, [(q0_list, rule)], cfg.dt, params, cfg.steps,
-                     keep)[0]
+    rule = StepRule("nelson", drift_extra, rng_seed, drift_override)
+    return transport(trace, [(q0_list, rule)], dt, params, steps, keep)[0]
 
 
 def static_trace(psi: Wavefunction) -> EvolutionTrace:

@@ -31,7 +31,7 @@ from sllab.grid_field import (
 )
 from sllab.io_formats import sha256_file
 from sllab.measurement import PointerModel, run_measurement
-from sllab.trajectories import SdeConfig, integrate_bohmian, integrate_nelson, \
+from sllab.trajectories import integrate_bohmian, integrate_nelson, \
     static_trace
 from oracles import crank_nicolson_evolve
 
@@ -133,10 +133,11 @@ def test_06_born_rule_from_diffusion():
     psi = harmonic_ground_state(g)
     trace = static_trace(psi)
     q0 = sample_density(psi.density(), g, 10_000, 11)
-    cfg = SdeConfig(dt=2e-3, rng_seed=11, steps=10_000)  # t = 20
-    ens = integrate_nelson(trace, q0, cfg, QUANTUM)
+    # t = 20
+    ens = integrate_nelson(trace, q0, 2e-3, QUANTUM, 11, steps=10_000)
     rep = chi2_against_target(ens.final_positions()[:, 0], psi.density(), g, 50)
-    ctrl = integrate_nelson(trace, q0, cfg, QUANTUM, drift_override="zero")
+    ctrl = integrate_nelson(trace, q0, 2e-3, QUANTUM, 11, steps=10_000,
+                            drift_override="zero")
     rep_ctrl = chi2_against_target(ctrl.final_positions()[:, 0],
                                    psi.density(), g, 50)
     ok = rep.p_value > 0.01 and rep_ctrl.p_value < 1e-6

@@ -21,8 +21,8 @@ from sllab.grid_field import PhysicalParams, PotentialSpec, Wavefunction, \
     make_grid
 from sllab.io_formats import write_field_csv, write_trajectories_csv
 from sllab.measurement import PointerModel, coupling_drift, evolve_pointer
-from sllab.trajectories import SdeConfig, integrate_bohmian, \
-    integrate_nelson, static_trace
+from sllab.trajectories import integrate_bohmian, integrate_nelson, \
+    static_trace
 
 QUANTUM = PhysicalParams.quantum()
 
@@ -82,20 +82,20 @@ def _moving():
         "moving_bohmian": integrate_bohmian(trace, q0, 1e-2, QUANTUM,
                                             drift_extra=extra),
         "moving_nelson": integrate_nelson(
-            trace, q0, SdeConfig(dt=1e-2, rng_seed=5), QUANTUM,
-            drift_extra=extra),
+            trace, q0, 1e-2, QUANTUM, 5, drift_extra=extra),
     }
 
 
 def _static():
     trace = static_trace(_node_state(make_grid(1, 20.0, 64), 0.0))
     q0 = np.linspace(-2.0, 2.0, 5).reshape(-1, 1)   # q0[2] on the node
-    cfg = SdeConfig(dt=1e-2, rng_seed=3, steps=600)
     return {
         "static_bohmian": integrate_bohmian(trace, q0, 1e-2, QUANTUM,
                                             steps=40),
-        "static_nelson": integrate_nelson(trace, q0, cfg, QUANTUM),
-        "static_nelson_zero": integrate_nelson(trace, q0, cfg, QUANTUM,
+        "static_nelson": integrate_nelson(trace, q0, 1e-2, QUANTUM, 3,
+                                          steps=600),
+        "static_nelson_zero": integrate_nelson(trace, q0, 1e-2, QUANTUM, 3,
+                                               steps=600,
                                                drift_override="zero"),
     }
 
@@ -111,8 +111,7 @@ def _pointer():
         "pointer_bohmian": integrate_bohmian(trace, q0, 1e-2, QUANTUM,
                                              drift_extra=extra),
         "pointer_nelson": integrate_nelson(
-            trace, q0, SdeConfig(dt=1e-2, rng_seed=9), QUANTUM,
-            drift_extra=extra),
+            trace, q0, 1e-2, QUANTUM, 9, drift_extra=extra),
     }
 
 

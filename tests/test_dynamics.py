@@ -114,7 +114,7 @@ class TestLambdaRegimes:
         trace = evolve(psi0, _cfg(1e-3, 400, params=QUANTUM.with_lambda(lam)))
 
         hbar_eff = np.sqrt(lam)
-        params_eff = PhysicalParams(m=1.0, hbar=hbar_eff, sigma=hbar_eff)
+        params_eff = PhysicalParams(m=1.0, hbar=hbar_eff)
         psi0_eff = Wavefunction(
             g, np.abs(psi0.values).astype(complex)).normalized()
         trace_eff = evolve(psi0_eff, _cfg(1e-3, 400, params=params_eff))
@@ -278,5 +278,5 @@ class TestDiagnostics:
     def test_trace_frame_dt(self):
         g = make_grid(1, 40.0, 256)
         trace = evolve(gaussian_packet(g), _cfg(1e-3, 100, stride=10))
-        assert trace.frame_dt() == pytest.approx(1e-2)
         assert len(trace.snapshots) == 11
+        assert np.diff(trace.times) == pytest.approx(1e-2)

@@ -6,12 +6,11 @@ from sllab.ensemble import (
     chi2_against_target,
     coarse_grained_h,
     equivariance_test,
-    estimate_density,
     relaxation_h_series,
     sample_density,
 )
 from sllab.grid_field import gaussian_packet, harmonic_ground_state, make_grid
-from sllab.trajectories import SdeConfig, TrajectoryEnsemble, integrate_nelson, \
+from sllab.trajectories import TrajectoryEnsemble, integrate_nelson, \
     static_trace
 from sllab.grid_field import PhysicalParams
 
@@ -84,20 +83,6 @@ class TestChi2:
         assert rep.dof < 59
         assert np.isfinite(rep.chi2)
 
-    def test_estimate_density_normalized(self):
-        g = make_grid(1, 20.0, 256)
-        rho = gaussian_packet(g).density()
-        x = sample_density(rho, g, 5000, seed=7)
-        est = estimate_density(x, bins=30, lo=-10.0, hi=10.0)
-        width = est.edges[1] - est.edges[0]
-        assert np.sum(est.density) * width == pytest.approx(1.0, abs=1e-9)
-
-    def test_estimate_density_guards(self):
-        with pytest.raises(ValueError):
-            estimate_density(np.zeros((10, 1)), bins=5, lo=-1, hi=1)
-        with pytest.raises(ValueError):
-            estimate_density(np.empty((0, 1)), bins=10, lo=-1, hi=1)
-
 
 class TestEquivariance:
     def test_requires_min_ensemble(self):
@@ -142,8 +127,7 @@ class TestHFunction:
         trace = static_trace(psi)
         rng = np.random.default_rng(10)
         x0 = rng.uniform(-4, 4, size=(3000, 1))
-        cfg = SdeConfig(dt=1e-2, rng_seed=11, steps=300)
-        ens = integrate_nelson(trace, x0, cfg, QUANTUM)
+        ens = integrate_nelson(trace, x0, 1e-2, QUANTUM, 11, steps=300)
         frames = [psi.density()] * 4
         times = [0.0, 1.0, 2.0, 3.0]
         series = relaxation_h_series(ens, frames, times, g, coarse_bins=16)

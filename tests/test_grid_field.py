@@ -22,8 +22,7 @@ from sllab.grid_field import (
     polar_decompose,
     quantum_potential,
     quantum_potential_from_abs,
-    _nearest_valid_fill,
-    _nearest_valid_index_1d,
+    fill_nodes,
 )
 from oracles import gaussian_quantum_potential
 
@@ -88,12 +87,6 @@ class TestGrid:
 
 
 class TestParams:
-    def test_consistent_construction(self):
-        p = PhysicalParams.consistent(m=2.0, sigma=0.5)
-        assert p.hbar == 1.0
-        assert p.lam == 1.0
-        assert p.nu == pytest.approx(0.25)
-
     def test_lambda_range(self):
         with pytest.raises(ValueError):
             PhysicalParams(lam=1.5)
@@ -104,6 +97,7 @@ class TestParams:
         p = PhysicalParams.quantum().with_lambda(0.5)
         assert p.lam == 0.5
         assert p.hbar == 1.0
+        assert PhysicalParams(m=2.0).nu == pytest.approx(0.25)
 
 
 class TestPotentials:
@@ -283,6 +277,7 @@ class TestPhaseUnwrap:
 
 
 class TestNearestValidIndex:
+    # filling np.arange gives each entry's source index
     @staticmethod
     def _edt(mask):
         return ndimage.distance_transform_edt(
@@ -293,7 +288,7 @@ class TestNearestValidIndex:
         for n in (2, 3, 16, 61):
             masks = rng.random((400, n)) < rng.random((400, 1))
             masks[masks.all(axis=1), rng.integers(n)] = False
-            got = _nearest_valid_index_1d(masks)
+            got = fill_nodes(masks, 1, np.tile(np.arange(n), (400, 1)))[0]
             for m, row in zip(masks, got):
                 assert np.array_equal(row, self._edt(m))
 
@@ -308,9 +303,9 @@ class TestNearestValidIndex:
         ]
         for r in rows:
             mask = np.array(r, dtype=bool)
-            got = _nearest_valid_index_1d(mask[None])[0]
+            got = fill_nodes(mask, 1, np.arange(len(r)))[0]
             assert np.array_equal(got, self._edt(mask)), r
-        assert _nearest_valid_index_1d(np.array([[0, 1, 0]], bool))[0, 1] == 0
+        assert fill_nodes(np.array([0, 1, 0], bool), 1, np.arange(3))[0][1] == 0
 
 
 class TestNearestValidFill:
@@ -320,23 +315,30 @@ class TestNearestValidFill:
             mask, return_distances=False, return_indices=True))
         return tuple(v[idx] for v in values)
 
-    @pytest.mark.parametrize("shape", [(61,), (16, 16), (13, 7)])
+    # one 1-D field, then stacks along axis 0 of 1-D and of 2-D fields
+    @pytest.mark.parametrize("shape", [(61,), (4, 61), (3, 13, 7)])
     def test_matches_edt_gather(self, shape):
+        dim = max(1, len(shape) - 1)
+        stack = shape[:len(shape) - dim]
+        nfields = int(np.prod(stack))
         rng = np.random.default_rng(8)
-        masks = [rng.random(shape) < frac for frac in (0.0, 0.3, 0.7, 0.95)]
-        one_valid = np.ones(shape, dtype=bool)
-        one_valid.flat[rng.integers(one_valid.size)] = False
-        masks.append(one_valid)
-        assert not masks[0].any()
+        masks = [np.zeros(shape, dtype=bool)]
+        for frac in (0.3, 0.7, 0.95, 1.0):
+            m = rng.random(shape) < frac
+            # every field keeps an unmasked point; at 1.0 only that one
+            flat = m.reshape(nfields, -1)
+            flat[np.arange(nfields), rng.integers(flat.shape[1],
+                                                  size=nfields)] = False
+            masks.append(m)
         for mask in masks:
-            if mask.all():
-                continue
             values = (rng.normal(size=shape), rng.normal(size=shape))
-            got = _nearest_valid_fill(mask, *values)
-            want = self._edt_fill(mask, *values)
-            for g, w in zip(got, want):
-                assert g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
+            got = fill_nodes(mask, dim, *values)
+            for k in np.ndindex(stack):
+                want = self._edt_fill(mask[k], *(v[k] for v in values))
+                alone = fill_nodes(mask[k], dim, *(v[k] for v in values))
+                for g, a, w in zip(got, alone, want):
+                    assert g[k].shape == w.shape
+                    assert g[k].tobytes() == a.tobytes() == w.tobytes()
 
 
 class TestQuantumPotential:

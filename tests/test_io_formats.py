@@ -16,7 +16,7 @@ from sllab.io_formats import (
     write_slf1,
     write_trajectories_csv,
 )
-from sllab.trajectories import SdeConfig, integrate_nelson, static_trace
+from sllab.trajectories import integrate_nelson, static_trace
 from sllab.grid_field import harmonic_ground_state
 
 
@@ -87,9 +87,8 @@ class TestCsv:
 
     def test_trajectories_csv(self, tmp_path):
         psi = harmonic_ground_state(make_grid(1, 20.0, 64))
-        ens = integrate_nelson(static_trace(psi), np.zeros((3, 1)),
-                               SdeConfig(dt=1e-2, rng_seed=0, steps=10),
-                               PhysicalParams.quantum())
+        ens = integrate_nelson(static_trace(psi), np.zeros((3, 1)), 1e-2,
+                               PhysicalParams.quantum(), 0, steps=10)
         p = tmp_path / "traj.csv"
         write_trajectories_csv(ens, p)
         with open(p) as fh:

@@ -13,14 +13,11 @@ from sllab.grid_field import (
 )
 from sllab.measurement import PointerModel, coupling_drift, evolve_pointer
 from sllab.trajectories import (
-    SdeConfig,
     StepRule,
     _philox_noise,
-    bohm_velocity,
     integrate_bohmian,
     integrate_nelson,
     interpolate_grid,
-    nelson_drift,
     static_trace,
     transport,
     velocity_field,
@@ -31,34 +28,38 @@ from test_bit_identity import _node_state
 QUANTUM = PhysicalParams.quantum()
 
 
+def _v_and_b(psi, pts):
+    """Pilot-wave velocity and forward drift of a 1-D field at pts."""
+    vf = velocity_field(psi.values, psi.grid, QUANTUM)
+    return (interpolate_grid(vf.v[0], psi.grid, pts),
+            interpolate_grid(vf.b[0], psi.grid, pts))
+
+
 class TestVelocityFields:
     def test_plane_wave_velocity(self):
         g = make_grid(1, 2 * np.pi * 8, 256)
         k = 2.0 * np.pi / g.length * 6
-        psi = plane_wave(g, k)
-        v = bohm_velocity(psi, np.array([[0.3], [1.7]]), QUANTUM)
+        v, _ = _v_and_b(plane_wave(g, k), np.array([[0.3], [1.7]]))
         assert np.allclose(v, k, atol=1e-9)  # v = hbar k / m
 
     def test_ground_state_zero_current(self):
         g = make_grid(1, 20.0, 256)
         psi = harmonic_ground_state(g)
         vf = velocity_field(psi.values, g, QUANTUM)
-        assert np.max(np.abs(vf.v[0])[vf.valid_mask]) < 1e-9
+        valid = vf.abs_psi >= vf.node_level
+        assert np.max(np.abs(vf.v[0])[valid]) < 1e-9
 
     def test_osmotic_velocity_gaussian(self):
         # u = (hbar/2m) grad rho / rho = -x/(2 s0^2) for a Gaussian
         g = make_grid(1, 20.0, 256)
-        psi = gaussian_packet(g, rho_width=1.0)
         x = np.array([[0.5], [-1.2]])
-        u = nelson_drift(psi, x, QUANTUM) - bohm_velocity(psi, x, QUANTUM)
-        assert np.allclose(u, -x / 2.0, atol=1e-6)
+        v, b = _v_and_b(gaussian_packet(g, rho_width=1.0), x)
+        assert np.allclose(b - v, -x[:, 0] / 2.0, atol=1e-6)
 
     def test_drift_decomposition_consistency(self):
         g = make_grid(1, 20.0, 256)
         psi = gaussian_packet(g, center=0.5, momentum=1.0)
-        pts = np.array([[0.0], [1.0], [-2.0]])
-        b = nelson_drift(psi, pts, QUANTUM)
-        v = bohm_velocity(psi, pts, QUANTUM)
+        v, b = _v_and_b(psi, np.array([[0.0], [1.0], [-2.0]]))
         assert np.all(np.isfinite(b - v))
 
 
@@ -152,9 +153,8 @@ class TestNelson:
         psi = harmonic_ground_state(make_grid(1, 20.0, 256))
         trace = static_trace(psi)
         x0 = np.zeros((50, 1))
-        cfg = SdeConfig(dt=1e-2, rng_seed=42, steps=100)
-        a = integrate_nelson(trace, x0, cfg, QUANTUM)
-        b = integrate_nelson(trace, x0, cfg, QUANTUM)
+        a = integrate_nelson(trace, x0, 1e-2, QUANTUM, 42, steps=100)
+        b = integrate_nelson(trace, x0, 1e-2, QUANTUM, 42, steps=100)
         assert np.array_equal(a.positions, b.positions)
 
     def test_paths_independent_of_ensemble_size(self):
@@ -162,26 +162,24 @@ class TestNelson:
         # ensemble holds 10 or 100 particles
         psi = harmonic_ground_state(make_grid(1, 20.0, 256))
         trace = static_trace(psi)
-        cfg = SdeConfig(dt=1e-2, rng_seed=7, steps=50)
-        small = integrate_nelson(trace, np.zeros((10, 1)), cfg, QUANTUM)
-        large = integrate_nelson(trace, np.zeros((100, 1)), cfg, QUANTUM)
+        small = integrate_nelson(trace, np.zeros((10, 1)), 1e-2, QUANTUM, 7,
+                                 steps=50)
+        large = integrate_nelson(trace, np.zeros((100, 1)), 1e-2, QUANTUM, 7,
+                                 steps=50)
         assert np.array_equal(small.positions, large.positions[:10])
 
     def test_different_seeds_differ(self):
         psi = harmonic_ground_state(make_grid(1, 20.0, 256))
         trace = static_trace(psi)
         x0 = np.zeros((10, 1))
-        a = integrate_nelson(trace, x0, SdeConfig(dt=1e-2, rng_seed=1, steps=50),
-                             QUANTUM)
-        b = integrate_nelson(trace, x0, SdeConfig(dt=1e-2, rng_seed=2, steps=50),
-                             QUANTUM)
+        a = integrate_nelson(trace, x0, 1e-2, QUANTUM, 1, steps=50)
+        b = integrate_nelson(trace, x0, 1e-2, QUANTUM, 2, steps=50)
         assert not np.array_equal(a.positions, b.positions)
 
     def test_static_trace_needs_steps(self):
         psi = harmonic_ground_state(make_grid(1, 20.0, 256))
         with pytest.raises(ValueError, match="step count"):
-            integrate_nelson(static_trace(psi), [[0.0]],
-                             SdeConfig(dt=1e-2, rng_seed=0), QUANTUM)
+            integrate_nelson(static_trace(psi), [[0.0]], 1e-2, QUANTUM, 0)
 
     def test_brownian_control_spreads(self):
         # with the drift zeroed the stationary Gaussian must leak outward
@@ -189,32 +187,39 @@ class TestNelson:
         trace = static_trace(psi)
         rng = np.random.default_rng(0)
         x0 = rng.normal(0, 0.7, size=(500, 1))
-        cfg = SdeConfig(dt=1e-2, rng_seed=3, steps=500)
-        drifted = integrate_nelson(trace, x0, cfg, QUANTUM)
-        control = integrate_nelson(trace, x0, cfg, QUANTUM,
+        drifted = integrate_nelson(trace, x0, 1e-2, QUANTUM, 3, steps=500)
+        control = integrate_nelson(trace, x0, 1e-2, QUANTUM, 3, steps=500,
                                    drift_override="zero")
         assert np.std(control.final_positions()) > \
             1.5 * np.std(drifted.final_positions())
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SdeConfig(dt=-1.0, rng_seed=0)
+        # a seed that is not an int in [0, 2**64) used to run as int(seed)
+        # or overflow inside the step loop
+        psi = harmonic_ground_state(make_grid(1, 20.0, 64))
+        for seed in (1.5, True, -1, 2 ** 64, "1"):
+            with pytest.raises(ValueError, match="rng_seed"):
+                integrate_nelson(static_trace(psi), [[0.0]], 1e-2, QUANTUM,
+                                 seed, steps=5)
+            with pytest.raises(ValueError, match="rng_seed"):
+                StepRule("nelson", rng_seed=seed)
+        StepRule("nelson", rng_seed=2 ** 64 - 1)
+        StepRule("nelson", rng_seed=np.uint64(7))
 
     @pytest.mark.parametrize("override", ["Zero", "none"])
     def test_unknown_drift_override_rejected(self, override):
         psi = harmonic_ground_state(make_grid(1, 20.0, 64))
         with pytest.raises(ValueError, match="drift_override"):
-            integrate_nelson(static_trace(psi), [[0.0]],
-                             SdeConfig(dt=1e-2, rng_seed=0, steps=5), QUANTUM,
-                             drift_override=override)
+            integrate_nelson(static_trace(psi), [[0.0]], 1e-2, QUANTUM, 0,
+                             steps=5, drift_override=override)
 
     @given(seed=st.integers(0, 2 ** 31))
     @settings(max_examples=10)
     def test_paths_stay_in_box(self, seed):
         psi = harmonic_ground_state(make_grid(1, 20.0, 64))
         trace = static_trace(psi)
-        cfg = SdeConfig(dt=5e-2, rng_seed=seed, steps=40)
-        ens = integrate_nelson(trace, np.zeros((5, 1)), cfg, QUANTUM)
+        ens = integrate_nelson(trace, np.zeros((5, 1)), 5e-2, QUANTUM, seed,
+                               steps=40)
         assert np.all(ens.positions >= -10.0)
         assert np.all(ens.positions < 10.0)
 
@@ -230,15 +235,14 @@ def _moving_case():
     def extra(t, q):
         return 0.3 * np.sin(q + t)
 
-    return trace, q0, 1e-2, SdeConfig(dt=1e-2, rng_seed=5), None, extra
+    return trace, q0, 1e-2, 5, None, None, extra
 
 
 def _static_case():
-    # 600 Nelson steps: the noise crosses a block boundary
+    # 40 Bohmian steps; 600 Nelson steps: the noise crosses a block boundary
     trace = static_trace(_node_state(make_grid(1, 20.0, 64), 0.0))
     q0 = np.linspace(-2.0, 2.0, 5).reshape(-1, 1)  # q0[2] on the node
-    return trace, q0, 1e-2, SdeConfig(dt=1e-2, rng_seed=3, steps=600), 40, \
-        None
+    return trace, q0, 1e-2, 3, 40, 600, None
 
 
 def _pointer_case():
@@ -247,8 +251,7 @@ def _pointer_case():
     trace = evolve_pointer(model, QUANTUM)
     q0 = np.array([[2.5, 0.0], [-2.5, 0.3], [2.2, -0.4], [-2.8, 0.1],
                    [0.0, 0.0], [2.5, 9.0]])  # q0[5] in the node region
-    return trace, q0, 1e-2, SdeConfig(dt=1e-2, rng_seed=9), None, \
-        coupling_drift(model)
+    return trace, q0, 1e-2, 9, None, None, coupling_drift(model)
 
 
 CASES = {"moving": _moving_case, "static": _static_case,
@@ -260,12 +263,12 @@ def _bits(a):
 
 
 def _run(integrator, case, keep=None):
-    trace, q0, dt, sde, bohm_steps, extra = case
+    trace, q0, dt, seed, bohm_steps, nelson_steps, extra = case
     if integrator == "bohmian":
         return integrate_bohmian(trace, q0, dt, QUANTUM, steps=bohm_steps,
                                  drift_extra=extra, keep=keep)
-    return integrate_nelson(trace, q0, sde, QUANTUM, drift_extra=extra,
-                            keep=keep)
+    return integrate_nelson(trace, q0, dt, QUANTUM, seed, steps=nelson_steps,
+                            drift_extra=extra, keep=keep)
 
 
 class TestRecordingSchedule:
@@ -285,9 +288,49 @@ class TestRecordingSchedule:
 
     @pytest.mark.parametrize("keep", [[], [5, 5], [9, 2], [41], [-42]])
     def test_bad_schedule_rejected(self, keep):
-        trace, q0, dt, _, steps, _ = _static_case()
+        trace, q0, dt, _, steps, _, _ = _static_case()
         with pytest.raises(ValueError, match="keep"):
             integrate_bohmian(trace, q0, dt, QUANTUM, steps=steps, keep=keep)
+
+
+def _small_trace(moving):
+    grid = make_grid(1, 20.0, 64)
+    if not moving:
+        return static_trace(harmonic_ground_state(grid))
+    cfg = EvolutionConfig(dt=1e-3, steps=20, params=QUANTUM,
+                          potential=PotentialSpec.harmonic(),
+                          snapshot_stride=10)
+    return evolve(gaussian_packet(grid, center=0.5), cfg)  # t = 0, .01, .02
+
+
+def _integrate(how, trace, dt, steps):
+    q0 = [[0.5], [-1.0]]
+    if how == "bohmian":
+        return [integrate_bohmian(trace, q0, dt, QUANTUM, steps=steps)]
+    if how == "nelson":
+        return [integrate_nelson(trace, q0, dt, QUANTUM, 0, steps=steps)]
+    return transport(trace, [(q0, StepRule("bohmian")),
+                             (q0, StepRule("nelson", rng_seed=0))],
+                     dt, QUANTUM, steps)
+
+
+class TestStepInputs:
+    # step_times checks dt and steps for every transport; a moving trace
+    # used to divide by dt = 0 or index an empty time array, a static one
+    # ran at dt <= 0, and steps = 2.5 ran 3 steps
+    @pytest.mark.parametrize("moving", [False, True])
+    @pytest.mark.parametrize("how", ["bohmian", "nelson", "transport"])
+    def test_bad_dt_and_steps_rejected(self, how, moving):
+        trace = _small_trace(moving)
+        for dt in (0, 0.0, -0.01, float("nan"), float("inf"), "0.01"):
+            with pytest.raises(ValueError, match="dt"):
+                _integrate(how, trace, dt, 2)
+        for steps in (-1, 2.5, True, "2"):
+            with pytest.raises(ValueError, match="steps"):
+                _integrate(how, trace, 1e-2, steps)
+        for steps, ncols in ((0, 1), (2, 3), (np.int64(1), 2)):
+            for ens in _integrate(how, trace, 1e-2, steps):
+                assert ens.positions.shape == (2, ncols, 1)
 
 
 def _assert_same(got, want):
@@ -300,14 +343,14 @@ def _assert_same(got, want):
 class TestLockstep:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_lockstep_equals_separate_runs(self, name):
-        trace, q0, _, sde, _, extra = CASES[name]()
-        rules = [StepRule("nelson", extra, sde.rng_seed, override)
+        trace, q0, dt, seed, _, steps, extra = CASES[name]()
+        rules = [StepRule("nelson", extra, seed, override)
                  for override in (None, "zero")]
-        got = transport(trace, [(q0, rule) for rule in rules], sde.dt,
-                        QUANTUM, sde.steps)
+        got = transport(trace, [(q0, rule) for rule in rules], dt, QUANTUM,
+                        steps)
         for ens, rule in zip(got, rules):
             _assert_same(ens, integrate_nelson(
-                trace, q0, sde, QUANTUM, drift_extra=extra,
+                trace, q0, dt, QUANTUM, seed, steps=steps, drift_extra=extra,
                 drift_override=rule.drift_override))
 
     def test_unknown_rule_rejected(self):
@@ -322,20 +365,21 @@ class TestLockstep:
     def test_kinds_in_one_transport_equal_separate_runs(self, name):
         # the fields each step builds are shared, the noise streams of two
         # seeds are not
-        trace, q0, dt, sde, _, extra = CASES[name]()
-        other = SdeConfig(dt=sde.dt, rng_seed=sde.rng_seed + 1)
+        trace, q0, dt, seed, _, _, extra = CASES[name]()
         got = transport(trace, [(q0, StepRule("bohmian", extra)),
-                                (q0, StepRule("nelson", extra, sde.rng_seed)),
-                                (q0, StepRule("nelson", extra, other.rng_seed))],
+                                (q0, StepRule("nelson", extra, seed)),
+                                (q0, StepRule("nelson", extra, seed + 1))],
                         dt, QUANTUM)
         want = [integrate_bohmian(trace, q0, dt, QUANTUM, drift_extra=extra),
-                integrate_nelson(trace, q0, sde, QUANTUM, drift_extra=extra),
-                integrate_nelson(trace, q0, other, QUANTUM, drift_extra=extra)]
+                integrate_nelson(trace, q0, dt, QUANTUM, seed,
+                                 drift_extra=extra),
+                integrate_nelson(trace, q0, dt, QUANTUM, seed + 1,
+                                 drift_extra=extra)]
         for g, w in zip(got, want):
             _assert_same(g, w)
 
     def test_seeds_in_lockstep_equal_per_seed_runs(self):
-        trace, _, dt, _, _, extra = _moving_case()
+        trace, _, dt, _, _, _, extra = _moving_case()
         q0s = [np.random.default_rng(s).uniform(-3.0, 3.0, (n, 1))
                for s, n in ((0, 9), (1, 4), (2, 13))]
         got = transport(trace, [(q0, StepRule("bohmian", extra))
@@ -345,7 +389,7 @@ class TestLockstep:
                 trace, q0, dt, QUANTUM, drift_extra=extra, keep=[0, -1]))
 
     def test_no_ensemble_rejected(self):
-        trace, _, dt, _, steps, _ = _static_case()
+        trace, _, dt, _, steps, _, _ = _static_case()
         with pytest.raises(ValueError, match="ensemble"):
             transport(trace, [], dt, QUANTUM, steps)
 
