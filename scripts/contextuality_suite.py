@@ -7,6 +7,7 @@ three."""
 import sys
 
 from sllab.contextuality import (
+    ScenarioError,
     check_no_signalling,
     chsh_value,
     contextual_fraction,
@@ -30,7 +31,7 @@ def main():
         dec = cf.decomposition
         try:
             chsh = f"{chsh_value(model):.4f}"
-        except Exception:
+        except ScenarioError:  # not a CHSH scenario
             chsh = "n/a"
         print(f"{name}:")
         print(f"  no-signalling max violation: {ns.max_violation:.2e}")

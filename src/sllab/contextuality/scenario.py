@@ -84,7 +84,9 @@ class EmpiricalModel:
             for out, p in table.items():
                 if not abs(p) < math.inf:
                     raise ScenarioError(f"non-finite probability {p} in {ctx}")
-                if p < -self.tol:
+                # an exact entry must be >= 0 whatever the tolerance: the
+                # exact LP starts from its slack basis, which needs p >= 0
+                if p < 0 and (p < -self.tol or isinstance(p, Rational)):
                     raise ScenarioError(f"negative probability {p} in {ctx}")
                 out = tuple(out)
                 if len(out) != len(ctx) or any(

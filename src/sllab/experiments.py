@@ -527,6 +527,7 @@ def _run_measurement(p: MeasurementParams, seed, out: Path) -> dict:
 @_register("contextuality", ContextualityParams)
 def _run_contextuality(p: ContextualityParams, seed, out: Path) -> dict:
     from .contextuality import (
+        ScenarioError,
         check_no_signalling,
         chsh_value,
         contextual_fraction,
@@ -543,7 +544,7 @@ def _run_contextuality(p: ContextualityParams, seed, out: Path) -> dict:
     dec = cf.decomposition
     try:
         chsh = chsh_value(model)
-    except Exception:
+    except ScenarioError:  # not a CHSH scenario
         chsh = None
     if dec.feasible:
         classification = "noncontextual"

@@ -315,8 +315,8 @@ def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray) -> tuple:
     """Each of `values` with its entries where `mask` is True replaced by
     the nearest unmasked entry of the same field: the point
     distance_transform_edt names.  `mask` and `values` hold one field of
-    `dim` axes or a stack of them along leading axes; every field needs
-    an unmasked entry.
+    `dim` axes or a stack of them along leading axes; a field with no
+    unmasked entry raises FieldError.
 
     The source of each entry is found once, as a flat index into the
     stack, and each value is gathered with one `take`.  Along one axis the
@@ -328,6 +328,8 @@ def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray) -> tuple:
         return values
     shape = mask.shape[mask.ndim - dim:]
     fields = mask.reshape((-1,) + shape)
+    if fields.reshape(len(fields), -1).all(axis=1).any():
+        raise FieldError("a field is masked everywhere; no entry to fill from")
     if dim == 1:
         n = shape[0]
         i = np.arange(n)

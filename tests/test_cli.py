@@ -42,6 +42,20 @@ class TestRun:
         assert (out / "summary.json").is_file()
         assert "[pass]" in capsys.readouterr().out
 
+    def test_run_float_model_negative_within_tolerance(self, tmp_path):
+        # HiGHS solves the float LP with b_ub = -1e-12 within its tolerance
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "observables": {"A": [0, 1, 2]}, "contexts": [["A"]],
+            "tables": [{"context": ["A"], "probabilities": {
+                "0": 0.5, "1": 0.5 + 1e-12, "2": -1e-12}}]}))
+        p = _cfg(tmp_path, {"experiment": "contextuality",
+                            "params": {"model_path": str(model)}})
+        out = tmp_path / "out"
+        assert main(["run", p, "--out", str(out)]) == 0
+        lp = json.loads((out / "analysis.json").read_text())["lp"]
+        assert lp["contextual_fraction"]["method"] == "float"
+
     def test_run_numeric_abort_exit_3(self, tmp_path, capsys):
         p = _cfg(tmp_path, {"experiment": "measurement", "seed": 0,
                             "params": {"n_traj": 50, "coupling": 0.0,
@@ -173,6 +187,11 @@ MALFORMED = [
      _model({"observables": _OBS, "contexts": [["A"]],
              "tables": [{"context": ["A"], "probabilities": {"2": "1"}}]}),
      False),
+    ("model_exact_negative_probability",
+     _model({"observables": {"A": [0, 1, 2]}, "contexts": [["A"]],
+             "tables": [{"context": ["A"], "probabilities": {
+                 "0": "1/2", "1": "500000000001/1000000000000",
+                 "2": "-1/1000000000000"}}]}), False),
     ("model_probability_not_number",
      _model({"observables": _OBS, "contexts": [["A"]],
              "tables": [{"context": ["A"], "probabilities": {"0": [1]}}]}),

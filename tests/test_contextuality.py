@@ -59,6 +59,21 @@ class TestScenario:
             EmpiricalModel(scenario=s,
                            tables={("A",): {(0,): F(3, 2), (1,): F(-1, 2)}})
 
+    def test_exact_negative_probability_rejected(self):
+        # the float tolerance does not cover an exact entry, even when the
+        # table sums to exactly 1
+        s = Scenario(observables={"A": (0, 1, 2)}, contexts=(("A",),))
+        with pytest.raises(ScenarioError, match="negative"):
+            EmpiricalModel(scenario=s, tables={("A",): {
+                (0,): F(1, 2), (1,): F(1, 2) + F(1, 10 ** 12),
+                (2,): F(-1, 10 ** 12)}})
+
+    def test_float_negative_within_tolerance_accepted(self):
+        s = Scenario(observables={"A": (0, 1, 2)}, contexts=(("A",),))
+        model = EmpiricalModel(scenario=s, tables={("A",): {
+            (0,): 0.5, (1,): 0.5 + 1e-12, (2,): -1e-12}})
+        assert model.prob(("A",), (2,)) == -1e-12
+
     def test_nan_probability_rejected(self):
         s = Scenario(observables={"A": (0, 1)}, contexts=(("A",),))
         with pytest.raises(ScenarioError, match="non-finite"):

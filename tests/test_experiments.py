@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sllab import experiments, measurement
+from sllab import contextuality, experiments, measurement
 from sllab.contextuality import (
     analysis,
     contextual_fraction,
@@ -139,6 +139,22 @@ class TestRuns:
                 "params": {"fixture": fixture}})
             run_experiment(cfg, tmp_path / fixture)
             assert len(calls) == 1, fixture
+
+    def test_chsh_null_only_for_non_chsh_scenarios(self, tmp_path,
+                                                    monkeypatch):
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "contextuality",
+            "params": {"fixture": "ks_odd_cycle"}})
+        assert run_experiment(cfg, tmp_path / "ks")["chsh"] is None
+
+        def broken(model):
+            raise RuntimeError("not a shape error")
+
+        monkeypatch.setattr(contextuality, "chsh_value", broken)
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "contextuality", "params": {"fixture": "pr_box"}})
+        with pytest.raises(RuntimeError, match="not a shape error"):
+            run_experiment(cfg, tmp_path / "pr")
 
     def test_decomposition_agrees_with_fraction(self):
         models = {name: load_model(fixture_path(name))

@@ -308,6 +308,31 @@ class TestNearestValidIndex:
         assert fill_nodes(np.array([0, 1, 0], bool), 1, np.arange(3))[0][1] == 0
 
 
+class TestAllMaskedField:
+    def test_1d(self):
+        with pytest.raises(FieldError, match="masked everywhere"):
+            fill_nodes(np.ones(16, bool), 1, np.arange(16.0))
+
+    def test_2d(self):
+        with pytest.raises(FieldError, match="masked everywhere"):
+            fill_nodes(np.ones((16, 16), bool), 2, np.zeros((16, 16)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_field_of_a_stack(self, dim):
+        mask = np.zeros((3,) + (16,) * dim, bool)
+        mask[0, 0] = True
+        mask[1] = True
+        with pytest.raises(FieldError, match="masked everywhere"):
+            fill_nodes(mask, dim, np.zeros(mask.shape))
+
+    def test_quantum_potential_above_every_amplitude(self):
+        g = make_grid(1, 20.0, 64)
+        R = np.exp(-g.axis_coords ** 2)
+        with pytest.raises(FieldError):
+            quantum_potential_from_abs(R, g, PhysicalParams(),
+                                       eps_node=2 * R.max())
+
+
 class TestNearestValidFill:
     @staticmethod
     def _edt_fill(mask, *values):
