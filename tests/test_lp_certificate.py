@@ -92,6 +92,21 @@ class TestAgainstTableau:
         assert cf.fraction == F(1, 10)
         assert cf.lp["method"] == "tableau"
 
+    def test_unbounded_goes_to_tableau(self, monkeypatch):
+        # HiGHS reports no optimum, so no certificate is tried; the exact
+        # tableau finds no leaving row and raises
+        calls = []
+        tableau = simplex._tableau
+
+        def spy(*args):
+            calls.append(args)
+            return tableau(*args)
+
+        monkeypatch.setattr(simplex, "_tableau", spy)
+        with pytest.raises(LpError, match="unbounded"):
+            solve_lp([F(1)], A_ub=[[F(-1)]], b_ub=[F(0)])
+        assert len(calls) == 1
+
     def test_float_inputs_are_not_certified(self):
         res = solve_lp([1.0, 1.0], A_ub=[[1.0, 2.0], [3.0, 1.0]],
                        b_ub=[4.0, 6.0])
