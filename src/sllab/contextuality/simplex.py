@@ -30,7 +30,6 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
-from scipy.optimize import linprog
 
 # HiGHS floats are rounded to the nearest fraction with a denominator at
 # most this; vertex coordinates of the LPs met here have small
@@ -73,6 +72,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LpResult:
     exact = _all_rational(itertools.chain(c, rhs, *rows))
     if exact and any(v < 0 for v in rhs):
         raise LpError("exact LPs need b_ub >= 0")
+    from scipy.optimize import linprog
+
     res = linprog(-np.array(c, dtype=float),
                   A_ub=np.array(rows, dtype=float).reshape(len(rows), n),
                   b_ub=np.array(rhs, dtype=float),

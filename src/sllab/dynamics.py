@@ -18,8 +18,8 @@ potential is evaluated once per step, from |psi| after the kinetic
 factor (first order in dt for the nonlinear part), and at lam = 1 the
 kick factor is exponentiated once per run.  The stepper advances a stack
 of fields at once, each with its own lam; `lambda_sweep` runs all its
-fields in one stack, and each row of under 256 KB (n < 16384 in 1-D)
-gives the bytes a separate `evolve` call gives.
+fields in one stack, and each row gives the bytes a separate `evolve`
+call gives.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .grid_field import (
     PhysicalParams,
     PotentialSpec,
     Wavefunction,
+    Workspace,
     differentiate,
     laplacian,
     quantum_potential_from_abs,
@@ -136,45 +137,53 @@ def _split_step(psi: np.ndarray, kinetic: np.ndarray, steps: int,
     only the phase, so the factor that closes one step also opens the
     next: half_kick runs once here, before the first step, and then once
     per step.  A factor with the stack's ndim holds one row per field;
-    one with the field's ndim is shared by all rows.  Returns a generator
-    over the stack after each step; sending it a boolean row mask keeps
-    only those rows from then on.
+    one with the field's ndim is shared by all rows.
+
+    Returns a generator over the stack after each step.  psi is copied
+    once and then advanced in place: every step yields the same array,
+    which the next step overwrites, so a caller that keeps a step's field
+    copies it.  Sending the generator a boolean row mask keeps only those
+    rows from then on, in a new array.  The kinetic product is
+    `kinetic * spectrum` in that operand order, whatever the stack's
+    height: numpy's complex multiply is not commutative to the last bit.
     """
     fft_axes = tuple(range(1, psi.ndim)) if axes is None else \
         tuple(ax + 1 for ax in axes)
-    # numpy's complex multiply is not commutative to the last bit, and
-    # for a temporary of 256 KB or more whose shape equals the other
-    # operand's it computes the product in place, operands swapped.  With
-    # the stack's ndim, a one-field stack's kinetic product takes the same
-    # path, bit for bit, as the unstacked field's; a taller stack is never
-    # computed in place, so its rows match single fields under 256 KB.
-    kinetic = kinetic[None]
+    psi = psi.copy()
+    spec = np.empty_like(psi)
+    # the stack's shape, so that the product broadcasts nothing
+    kinetic = np.broadcast_to(kinetic, psi.shape).copy()
     factor = None if half_kick is None else half_kick(psi)
 
-    def transform(fn, a):
-        # np.fft.fftn's sequence of 1-D transforms, last axis first,
-        # without its per-call axes bookkeeping
+    def transform(fn, a, b):
+        # np.fft.fftn's sequence of 1-D transforms, last axis first, each
+        # from one of the two arrays into the other (numpy copies an array
+        # transformed onto itself); returns the one holding the result
         for ax in reversed(fft_axes):
-            a = fn(a, axis=ax)
+            fn(a, axis=ax, out=b)
+            a, b = b, a
         return a
 
-    def run(psi, factor):
+    def run(psi, spec, kinetic, factor):
         for _ in range(steps):
             if factor is not None:
-                psi = psi * factor
-            psi = transform(np.fft.ifft,
-                            kinetic * transform(np.fft.fft, psi))
+                np.multiply(psi, factor, out=psi)
+            spectrum = transform(np.fft.fft, psi, spec)
+            np.multiply(kinetic, spectrum, out=spectrum)
+            # as many transforms back as forth: the field ends in psi
+            transform(np.fft.ifft, spectrum, spec if spectrum is psi else psi)
             if half_kick is not None:
                 factor = half_kick(psi)
-                psi = psi * factor
+                np.multiply(psi, factor, out=psi)
             keep = yield psi
             if keep is not None:
-                psi = psi[keep]
+                psi, kinetic = psi[keep], kinetic[keep]
+                spec = np.empty_like(psi)
                 if factor is not None and factor.ndim == psi.ndim:
                     factor = factor[keep]
                 yield None
 
-    return run(psi, factor)
+    return run(psi, spec, kinetic, factor)
 
 
 def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
@@ -208,18 +217,39 @@ def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
     q_prev = np.zeros(len(live))
     q_last = np.zeros(len(live))
 
+    # the kick's arrays persist while the stack keeps its rows; a row
+    # that aborts makes them anew
+    work = Workspace()
+
     def half_kick(cur_psi):
         nonlocal q_prev, q_last
+        factor = work.array("factor", cur_psi.shape, complex, fill=half)
         sub = lam < 1.0
         if not sub.any():
-            return half
-        q = quantum_potential_from_abs(np.abs(cur_psi[sub]), grid, params)
+            return factor
+        R = np.abs(cur_psi, out=work.array("R", cur_psi.shape))
+        if not sub.all():
+            rows = np.flatnonzero(sub)
+            R = np.take(R, rows, axis=0, mode="clip", out=work.array(
+                "R.sub", (len(rows),) + R.shape[1:]))
+        q = quantum_potential_from_abs(R, grid, params, work=work)
         q_prev, q_last = q_last, q_last.copy()
-        q_last[sub] = np.abs(q).reshape(len(q), -1).max(axis=1)
-        factor = np.empty_like(cur_psi)
-        factor[...] = half
-        veff = v + (lam[sub] - 1.0).reshape(field_shape) * q
-        factor[sub] = np.exp(-0.5j * veff * cfg.dt / params.hbar)
+        q_last[sub] = np.abs(q, out=work.array("|q|", q.shape)).reshape(
+            len(q), -1).max(axis=1)
+        # v + (lam - 1) q, then exp(-0.5j * veff * dt / hbar), in the
+        # operand order of those expressions
+        veff = work.array("veff", q.shape)
+        np.copyto(veff, (lam[sub] - 1.0).reshape(field_shape))
+        np.multiply(veff, q, out=veff)
+        np.add(work.array("v", q.shape, fill=v), veff, out=veff)
+        kick = factor if sub.all() else work.array("kick", q.shape, complex)
+        np.copyto(kick, veff)
+        np.multiply(-0.5j, kick, out=kick)
+        np.multiply(kick, cfg.dt, out=kick)
+        np.divide(kick, params.hbar, out=kick)
+        np.exp(kick, out=kick)
+        if kick is not factor:
+            factor[sub] = kick
         return factor
 
     def snap(i, cur_psi, cur_t, q):
@@ -241,9 +271,11 @@ def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
 
     for step, psi in enumerate(stepper, 1):
         rows = len(live)
-        finite = np.isfinite(psi.view(float)).reshape(rows, -1).all(axis=1)
-        norm = np.sqrt(np.sum((np.abs(psi) ** 2).reshape(rows, -1), axis=1)
-                       * grid.cell_volume)
+        finite = np.isfinite(psi.reshape(rows, -1).view(float), out=work.array(
+            "finite", (rows, 2 * psi[0].size), bool)).all(axis=1)
+        rho = np.abs(psi, out=work.array("rho", psi.shape))
+        norm = np.sqrt(np.sum(np.square(rho, out=rho).reshape(rows, -1),
+                              axis=1) * grid.cell_volume)
         drift = np.abs(norm - prev_norm)
         prev_norm = norm
         snapshot = step % cfg.snapshot_stride == 0

@@ -17,9 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 
 class GridError(ValueError):
@@ -28,6 +25,48 @@ class GridError(ValueError):
 
 class FieldError(ValueError):
     pass
+
+
+class Workspace:
+    """Arrays kept from one call to the next, by name.
+
+    A loop that runs the same array code on a stack of one shape every
+    step (the lambda < 1 kick evaluates Q each step) hands one workspace
+    to every call, and the temporaries live in its arrays instead of
+    being allocated and freed each step: stack-sized blocks freed at the
+    top of the C heap are given back to the system and faulted in again
+    on the next step.  A result that lives in a workspace is overwritten
+    by the next call that uses the workspace.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name, shape, dtype=float, fill=None):
+        """The array kept under `name`.  It is made anew, and set to `fill`
+        (broadcast) if one is given, when it is missing or has another
+        shape or dtype; so a name whose fill depends on more than the
+        shape carries that dependence (a grid, an axis) in the name."""
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(shape, dtype)
+            if fill is not None:
+                a[...] = fill
+        return a
+
+
+def _scratch(work, name, shape, dtype=float, fill=None):
+    """`work.array(...)`, or without a workspace a new array (or `fill`
+    itself, left to broadcast).
+
+    A ufunc whose operand broadcasts across the rows of a stack runs
+    through buffers of up to 8192 elements that numpy allocates on every
+    call, so code that runs with a workspace broadcasts its constants into
+    kept arrays once.
+    """
+    if work is not None:
+        return work.array(name, shape, dtype, fill)
+    return np.empty(shape, dtype) if fill is None else fill
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -262,12 +301,13 @@ def harmonic_ground_state(grid: Grid, omega: float = 1.0, m: float = 1.0,
 
 
 def differentiate(values: np.ndarray, grid: Grid, axis: int = 0, order: int = 1,
-                  scheme: str = "spectral") -> np.ndarray:
+                  scheme: str = "spectral", work: Workspace | None = None) -> np.ndarray:
     """Spatial derivative of a gridded field along one axis.
 
     `values` is one field or a stack of fields along leading axes; `axis`
     counts the grid's axes.  The spectral scheme is exact for band-limited
     fields; central_fd2 is a second-order finite-difference cross-check.
+    A spectral derivative taken with a `work` Workspace lives in it.
     """
     if order not in (1, 2):
         raise FieldError(f"derivative order must be 1 or 2, got {order}")
@@ -277,12 +317,16 @@ def differentiate(values: np.ndarray, grid: Grid, axis: int = 0, order: int = 1,
     array_axis = axis + values.ndim - grid.dim
     if scheme == "spectral":
         k = grid.wavenumbers(axis)
-        spec = np.fft.fft(values, axis=array_axis)
-        if order == 1:
-            spec = spec * (1j * k)
-        else:
-            spec = spec * (-(k ** 2))
-        out = np.fft.ifft(spec, axis=array_axis)
+        shape = values.shape
+        spec = np.fft.fft(values, axis=array_axis,
+                          out=_scratch(work, "d.spec", shape, complex))
+        np.multiply(spec, _scratch(work, ("d.k", grid, axis, order), shape,
+                                   complex,
+                                   fill=1j * k if order == 1 else -(k ** 2)),
+                    out=spec)
+        # into a second array: numpy copies an array transformed onto itself
+        out = np.fft.ifft(spec, axis=array_axis,
+                          out=_scratch(work, "d.out", shape, complex))
         return out if np.iscomplexobj(values) else out.real
     if scheme == "central_fd2":
         up = np.roll(values, -1, axis=array_axis)
@@ -293,10 +337,16 @@ def differentiate(values: np.ndarray, grid: Grid, axis: int = 0, order: int = 1,
     raise FieldError(f"unknown derivative scheme {scheme!r}")
 
 
-def laplacian(values: np.ndarray, grid: Grid, scheme: str = "spectral") -> np.ndarray:
-    out = np.zeros_like(np.asarray(values, dtype=complex if np.iscomplexobj(values) else float))
+def laplacian(values: np.ndarray, grid: Grid, scheme: str = "spectral",
+              work: Workspace | None = None) -> np.ndarray:
+    """Sum of the second derivatives along the grid's axes; with a `work`
+    Workspace the result lives in it."""
+    out = _scratch(work, "lap", np.shape(values),
+                   complex if np.iscomplexobj(values) else float)
+    out[...] = 0.0
     for ax in range(grid.dim):
-        out = out + differentiate(values, grid, axis=ax, order=2, scheme=scheme)
+        np.add(out, differentiate(values, grid, axis=ax, order=2,
+                                  scheme=scheme, work=work), out=out)
     return out
 
 
@@ -311,12 +361,14 @@ def node_level(amplitude: np.ndarray, dim: int) -> np.ndarray:
     return 1e-6 * amplitude.max(axis=field_axes, keepdims=True)
 
 
-def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray) -> tuple:
+def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray,
+               work: Workspace | None = None) -> tuple:
     """Each of `values` with its entries where `mask` is True replaced by
     the nearest unmasked entry of the same field: the point
     distance_transform_edt names.  `mask` and `values` hold one field of
     `dim` axes or a stack of them along leading axes; a field with no
-    unmasked entry raises FieldError.
+    unmasked entry raises FieldError.  With a `work` Workspace the filled
+    values live in it.
 
     The source of each entry is found once, as a flat index into the
     stack, and each value is gathered with one `take`.  Along one axis the
@@ -331,22 +383,42 @@ def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray) -> tuple:
     if fields.reshape(len(fields), -1).all(axis=1).any():
         raise FieldError("a field is masked everywhere; no entry to fill from")
     if dim == 1:
-        n = shape[0]
-        i = np.arange(n)
-        left = np.maximum.accumulate(np.where(fields, -1, i), axis=-1)
-        right = np.minimum.accumulate(np.where(fields, 2 * n, i)[:, ::-1],
-                                      axis=-1)[:, ::-1]
-        src = np.where((left >= 0) & (i - left <= right - i), left, right)
+        # flat indices into the stack; -big and big stand for "no unmasked
+        # entry on this side of the row" and lose every comparison
+        big = 4 * mask.size
+        i = _scratch(work, "fill.i", mask.shape, np.intp,
+                     fill=np.arange(mask.size).reshape(mask.shape))
+        left = _scratch(work, "fill.left", mask.shape, np.intp)
+        np.copyto(left, i)
+        np.copyto(left, -big, where=mask)
+        np.maximum.accumulate(left, axis=-1, out=left)
+        right = _scratch(work, "fill.right", mask.shape, np.intp)
+        np.copyto(right, i)
+        np.copyto(right, big, where=mask)
+        rev = right[..., ::-1]
+        np.minimum.accumulate(rev, axis=-1, out=rev)
+        # left wins when i - left <= right - i, that is i <= left + right - i
+        reach = np.add(left, right, out=_scratch(work, "fill.reach",
+                                                 mask.shape, np.intp))
+        np.subtract(reach, i, out=reach)
+        np.copyto(right, left, where=np.less_equal(
+            i, reach, out=_scratch(work, "fill.tie", mask.shape, bool)))
+        src = right
     else:
+        from scipy import ndimage
+
         src = np.stack([np.ravel_multi_index(tuple(
             ndimage.distance_transform_edt(m, return_distances=False,
                                            return_indices=True)), shape)
             for m in fields])
-    if len(fields) > 1:
-        src += fields[0].size * np.arange(len(fields)).reshape(
-            (-1,) + (1,) * dim)
-    src = src.reshape(mask.shape)
-    return tuple(np.take(v, src) for v in values)
+        if len(fields) > 1:
+            src += fields[0].size * np.arange(len(fields)).reshape(
+                (-1,) + (1,) * dim)
+        src = src.reshape(mask.shape)
+    return tuple(np.take(v, src, mode="clip",
+                         out=_scratch(work, ("fill.out", k), mask.shape,
+                                      v.dtype))
+                 for k, v in enumerate(values))
 
 
 def _unwrap_phase(raw: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
@@ -356,8 +428,15 @@ def _unwrap_phase(raw: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
 
     Neighbours are taken in the order (axis 0: -1, +1), (axis 1: -1, +1),
     periodic, so the search tree, and with it every unwrapped value, is
-    fixed by the field alone.
+    fixed by the field alone.  On a 1-D ring that tree is two walks from
+    the start, one to each side, and the walk to the -1 side takes the
+    antipode of an even ring.
     """
+    if raw.ndim == 1:
+        return _unwrap_ring(raw, mask, start)
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     shape = raw.shape
     size = raw.size
     flat = np.arange(size).reshape(shape)
@@ -383,13 +462,49 @@ def _unwrap_phase(raw: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
     while hi < len(order):
         lo, hi = hi, 1 + int(np.searchsorted(parent_pos, hi))
         pts = order[lo:hi]
-        # np.round gives -0.0 for a small negative quotient; + 0.0 makes
-        # it 0.0, as an integer turn count would be, so that a raw phase
-        # of -0.0 unwraps to 0.0
-        turns = np.round((phase[pred[pts]] - raw_flat[pts])
-                         / (2.0 * np.pi)) + 0.0
-        phase[pts] = raw_flat[pts] + 2.0 * np.pi * turns
+        phase[pts] = _unwrap_from(phase[pred[pts]], raw_flat[pts])
     return phase.reshape(shape)
+
+
+def _unwrap_from(prev: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Raw phases moved by whole turns to lie nearest their predecessors'
+    unwrapped phases."""
+    # np.round gives -0.0 for a small negative quotient; + 0.0 makes it
+    # 0.0, as an integer turn count would be, so that a raw phase of -0.0
+    # unwraps to 0.0
+    turns = np.round((prev - raw) / (2.0 * np.pi)) + 0.0
+    return raw + 2.0 * np.pi * turns
+
+
+def _unwrap_ring(raw: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
+    """`_unwrap_phase` on a 1-D ring: from `start` one walk to the -1 side
+    and one to the +1 side, each up to the first masked point.  On a ring
+    with no masked point the walks meet, and the -1 walk takes the
+    antipode of an even ring, as the breadth-first search does."""
+    n = raw.size
+    phase = np.full(n, np.nan)
+    phase[start] = raw[start]
+    steps = np.arange(1, n)
+    lengths = [n // 2, (n - 1) // 2]
+    if mask.any():
+        lengths = [int(np.argmax(mask[(start + side * steps) % n]))
+                   for side in (-1, 1)]
+    for side, length in zip((-1, 1), lengths):
+        walk = np.r_[start, (start + side * steps[:length]) % n]
+        seq = raw[walk]
+        # each point is unwrapped from the one before it; guess every turn
+        # count from the raw steps, then redo the whole walk from the
+        # points before until nothing changes: each pass settles at least
+        # the first point still wrong, and the fixed point is the walk
+        walked = seq[1:] + 2.0 * np.pi * np.cumsum(
+            np.round((seq[:-1] - seq[1:]) / (2.0 * np.pi)))
+        while True:
+            new = _unwrap_from(np.r_[raw[start], walked[:-1]], seq[1:])
+            if np.array_equal(new, walked):
+                break
+            walked = new
+        phase[walk[1:]] = new
+    return phase
 
 
 def polar_decompose(psi: Wavefunction, eps_node: float | None = None,
@@ -422,24 +537,32 @@ def polar_compose(polar: PolarField) -> Wavefunction:
 
 
 def quantum_potential_from_abs(R: np.ndarray, grid: Grid, params: PhysicalParams,
-                               eps_node: float | None = None) -> np.ndarray:
+                               eps_node: float | None = None,
+                               work: Workspace | None = None) -> np.ndarray:
     """Quantum potential -(hbar^2/2m) * lap(R)/R from an amplitude field.
 
     R is one field or a stack of fields along leading axes; by default
     each field's node threshold is 1e-6 of its own maximum.  At near-node
     points the value is clamped to the nearest unmasked point of the same
     field; the dynamics keeps equilibrium densities ~R^2 there, so the
-    clamp affects a vanishing fraction of probability mass.
+    clamp affects a vanishing fraction of probability mass.  With a `work`
+    Workspace the result lives in it.
     """
     if eps_node is None:
         eps_node = node_level(R, grid.dim)
-    return _quantum_potential_masked(R, R < eps_node, grid, params)
+    level = _scratch(work, "q.level", R.shape)
+    np.copyto(level, eps_node)
+    mask = np.less(R, level, out=_scratch(work, "q.mask", R.shape, bool))
+    return _quantum_potential_masked(R, mask, grid, params, work)
 
 
-def _quantum_potential_masked(R, mask, grid, params) -> np.ndarray:
-    safe_R = np.where(mask, 1.0, R)
-    q = -(params.hbar ** 2 / (2.0 * params.m)) * laplacian(R, grid).real / safe_R
-    return fill_nodes(mask, grid.dim, q)[0]
+def _quantum_potential_masked(R, mask, grid, params, work=None) -> np.ndarray:
+    q = laplacian(R, grid, work=work)
+    np.multiply(-(params.hbar ** 2 / (2.0 * params.m)), q, out=q)
+    # node points are divided by nothing: fill_nodes overwrites them
+    np.divide(q, R, out=q, where=np.logical_not(
+        mask, out=_scratch(work, "q.valid", R.shape, bool)))
+    return fill_nodes(mask, grid.dim, q, work=work)[0]
 
 
 def quantum_potential(polar: PolarField, params: PhysicalParams) -> np.ndarray:

@@ -128,6 +128,8 @@ def evolve_pointer(model: PointerModel, params: PhysicalParams,
                               (n_settle, None)):
         for rows in _split_step(mixed[None], kin, epoch_steps, kick,
                                 axes=(0,)):
+            # the kernel's own array, overwritten by its next step: read
+            # here, and snapshots transform it into new arrays
             mixed = rows[0]
             step += 1
             if not np.all(np.isfinite(mixed.view(float))):

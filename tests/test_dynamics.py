@@ -6,6 +6,7 @@ import pytest
 from sllab.dynamics import (
     EvolutionAbort,
     EvolutionConfig,
+    _split_step,
     density_width,
     energy_expectation,
     evolve,
@@ -261,6 +262,54 @@ class TestSweep:
         g = make_grid(1, 20.0, 128)
         rho = gaussian_packet(g).density()
         assert fringe_visibility(rho, rho, g) == 0.0
+
+
+class TestKernel:
+    @staticmethod
+    def _field(rng, shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def test_row_bytes_independent_of_stack_height(self):
+        # numpy computes a product whose temporary reaches 256 KB in place,
+        # operands swapped, and its complex multiply is not commutative to
+        # the last bit: the kernel must fix the operand order itself
+        rng = np.random.default_rng(4)
+        field, other = self._field(rng, (128, 128)), self._field(rng, (128, 128))
+        kinetic = np.exp(1j * rng.normal(size=(128, 128)))
+        kick = np.exp(1j * rng.normal(size=(128, 128)))
+
+        def run(stack):
+            for rows in _split_step(stack, kinetic, 3, lambda _: kick,
+                                    axes=(0,)):
+                pass
+            return rows[0].copy()
+
+        assert run(field[None]).tobytes() == \
+            run(np.stack([field, other])).tobytes()
+
+    def test_yields_one_array_and_leaves_input(self):
+        rng = np.random.default_rng(5)
+        psi = self._field(rng, (3, 64))
+        before = psi.copy()
+        kinetic = np.exp(1j * rng.normal(size=64))
+        kick = np.exp(1j * rng.normal(size=(3, 64)))
+        yielded = list(_split_step(psi, kinetic, 50, lambda _: kick))
+        assert len(yielded) == 50
+        assert all(a is yielded[0] for a in yielded)
+        assert yielded[0] is not psi
+        assert psi.tobytes() == before.tobytes()
+
+    def test_dropping_rows_keeps_the_others(self):
+        rng = np.random.default_rng(6)
+        psi = self._field(rng, (3, 64))
+        kinetic = np.exp(1j * rng.normal(size=64))
+        kick = np.exp(1j * rng.normal(size=64))    # shared by all rows
+        stepper = _split_step(psi, kinetic, 4, lambda _: kick)
+        next(stepper)
+        stepper.send(np.array([True, False, True]))
+        rows = list(stepper)[-1].copy()
+        alone = list(_split_step(psi[[0, 2]], kinetic, 4, lambda _: kick))[-1]
+        assert rows.tobytes() == alone.tobytes()
 
 
 class TestDiagnostics:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sllab.ensemble import (
+    _chi2_sf,
     chi2_against_target,
     coarse_grained_h,
     equivariance_test,
@@ -82,6 +83,28 @@ class TestChi2:
         rep = chi2_against_target(x, rho, g, bins=60)
         assert rep.dof < 59
         assert np.isfinite(rep.chi2)
+
+
+    def test_p_value_is_scipy_stats_bit_for_bit(self):
+        from scipy import stats
+
+        for dof in range(1, 201):
+            xs = np.concatenate([[0.0, 1e-300, 1e-12],
+                                 dof * np.geomspace(1e-4, 1e2, 25),
+                                 [1e4, 1e300, np.inf]])
+            for x in xs:
+                want = float(stats.chi2.sf(x, dof))
+                assert np.float64(_chi2_sf(float(x), dof)).tobytes() == \
+                    np.float64(want).tobytes(), (dof, x)
+
+    def test_report_p_value(self):
+        from scipy import stats
+
+        g = make_grid(1, 20.0, 256)
+        rho = gaussian_packet(g).density()
+        pos = sample_density(rho, g, 2000, seed=3)[:, 0]
+        rep = chi2_against_target(pos, rho, g, bins=40)
+        assert rep.p_value == float(stats.chi2.sf(rep.chi2, rep.dof))
 
 
 class TestEquivariance:

@@ -23,6 +23,8 @@ from sllab.grid_field import (
     quantum_potential,
     quantum_potential_from_abs,
     fill_nodes,
+    Workspace,
+    _unwrap_phase,
 )
 from oracles import gaussian_quantum_potential
 
@@ -275,6 +277,64 @@ class TestPhaseUnwrap:
         ref = _bfs_unwrap(np.angle(vals), polar.node_mask, 0)
         assert polar.S.tobytes() == ref.tobytes()
 
+    @staticmethod
+    def _check_ring(raw, mask, start):
+        got = _unwrap_phase(raw, mask, start)
+        ref = _bfs_unwrap(raw, mask, start)
+        assert got.tobytes() == ref.tobytes()
+        return got
+
+    @staticmethod
+    def _raw(n, seed):
+        # random steps, half of them within rounding of half a turn: there
+        # the turn counts guessed from the raw steps and those of the walk
+        # itself disagree, and the walk must correct its guess
+        rng = np.random.default_rng(seed)
+        steps = np.where(rng.random(n) < 0.5, rng.uniform(-3.0, 3.0, n),
+                         np.pi * rng.choice([-1, 1], n)
+                         * (1 + rng.uniform(-1e-15, 1e-15, n)))
+        return np.angle(np.exp(1j * np.cumsum(steps)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 64, 65])
+    def test_unmasked_ring(self, n):
+        for start in sorted({0, n // 3, n - 1}):
+            self._check_ring(self._raw(n, n + start), np.zeros(n, bool), start)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_even_ring_antipode_from_minus_side(self, n):
+        # one winding: walking down from 0 the phase falls, walking up it
+        # rises, so the sign at the antipode tells which walk reached it
+        raw = np.angle(np.exp(2j * np.pi * np.arange(n) / n))
+        got = self._check_ring(raw, np.zeros(n, bool), 0)
+        assert got[n // 2] == pytest.approx(-np.pi)
+        assert got[n // 2 - 1] == pytest.approx(np.pi * (1 - 2 / n))
+
+    @pytest.mark.parametrize("start", [0, 63])
+    def test_start_at_either_end(self, start):
+        raw = self._raw(64, 7)
+        mask = np.zeros(64, bool)
+        mask[[20, 41]] = True
+        self._check_ring(raw, mask, start)
+        self._check_ring(raw, np.zeros(64, bool), start)
+
+    @pytest.mark.parametrize("arc,start", [((10, 30), 17), ((50, 70), 60),
+                                           ((50, 70), 2)])
+    def test_single_unmasked_arc(self, arc, start):
+        # the arc (50, 70) wraps past the end of the 64-point ring
+        n = 64
+        mask = np.ones(n, bool)
+        mask[np.arange(*arc) % n] = False
+        got = self._check_ring(self._raw(n, 3), mask, start)
+        assert np.array_equal(np.isfinite(got), ~mask)
+
+    def test_only_start_unmasked(self):
+        raw = self._raw(32, 5)
+        mask = np.ones(32, bool)
+        mask[9] = False
+        got = self._check_ring(raw, mask, 9)
+        assert got[9] == raw[9]
+        assert np.isnan(np.delete(got, 9)).all()
+
 
 class TestNearestValidIndex:
     # filling np.arange gives each entry's source index
@@ -423,3 +483,19 @@ class TestQuantumPotential:
         for field, q in zip(stack, got):
             assert q.tobytes() == \
                 quantum_potential_from_abs(field, g, params).tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
+    def test_workspace_gives_fresh_bytes(self, dim, n):
+        # a workspace reused across calls, and across a change of stack
+        # height, gives the bytes of a call without one
+        g = make_grid(dim, 20.0, n)
+        params = PhysicalParams.quantum()
+        work = Workspace()
+        for rows, shift in ((3, 0.0), (3, 1.0), (2, 2.0), (3, -1.0)):
+            stack = np.stack([
+                np.abs(gaussian_packet(g, center=shift + r, rho_width=0.8
+                                       ).values) for r in range(rows)])
+            stack[0].flat[::5] = 0.0
+            got = quantum_potential_from_abs(stack, g, params, work=work)
+            assert got.tobytes() == \
+                quantum_potential_from_abs(stack, g, params).tobytes()

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sllab import trajectories
+from sllab import measurement, trajectories
 from sllab.grid_field import PhysicalParams, make_grid
 from sllab.measurement import (
     MeasurementError,
@@ -79,6 +79,24 @@ class TestEvolution:
             model.t_coupling + model.t_settle, abs=1e-12)
         assert np.max(np.abs(strided.final().values
                              - every.final().values)) < 1e-13
+
+
+    def test_kernel_input_unchanged(self, monkeypatch):
+        # the kernel advances its own copy of each epoch's field in place
+        handed = []
+
+        def recording(psi, *args, **kwargs):
+            handed.append((psi, psi.copy()))
+            return split_step(psi, *args, **kwargs)
+
+        split_step = measurement._split_step
+        monkeypatch.setattr(measurement, "_split_step", recording)
+        trace = evolve_pointer(_model(), QUANTUM, dt=5e-3, snapshot_stride=7)
+        assert len(handed) == 2
+        for psi, before in handed:
+            assert psi.tobytes() == before.tobytes()
+        finals = [s.psi.values for s in trace.snapshots]
+        assert len({id(v) for v in finals}) == len(finals)
 
 
 class TestBranchAssignment:
