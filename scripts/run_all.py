@@ -2,11 +2,14 @@
 """Run every config in configs/ and print a pass/fail table.
 
 Usage: python scripts/run_all.py [--out-root runs] [--skip NAME ...]
-At their default sizes on a 2-core host, each run alone through `sllab run`
-(interpreter start and imports included), nelson_born takes 12-14 s,
-equivariance and lambda_sweep about 3 s each, relaxation about 2.5 s,
-measurement about 1.5 s and every other config about 1 s, most of which
-is the import of numpy and scipy that this script pays only once.
+At their default sizes, each run alone through `sllab run` (interpreter
+start and imports included) took, on a 2-core host during a slow spell
+(three rounds, BENCH_b327cff.json): nelson_born 23-26 s, equivariance
+4.5-5 s, relaxation and lambda_sweep 3-4 s, measurement 1.5-2 s, the
+two contextuality configs about 1 s, and free_packet and eigenstate_hold
+about 0.4 s.  The start-up in each is about 0.2 s of numpy; scipy, which
+only the 2-D fields, chi-square p-values and LPs load, adds 0.3-0.7 s
+where it is used.  This script pays both once.
 """
 
 import argparse

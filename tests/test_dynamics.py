@@ -299,18 +299,6 @@ class TestKernel:
         assert yielded[0] is not psi
         assert psi.tobytes() == before.tobytes()
 
-    def test_dropping_rows_keeps_the_others(self):
-        rng = np.random.default_rng(6)
-        psi = self._field(rng, (3, 64))
-        kinetic = np.exp(1j * rng.normal(size=64))
-        kick = np.exp(1j * rng.normal(size=64))    # shared by all rows
-        stepper = _split_step(psi, kinetic, 4, lambda _: kick)
-        next(stepper)
-        stepper.send(np.array([True, False, True]))
-        rows = list(stepper)[-1].copy()
-        alone = list(_split_step(psi[[0, 2]], kinetic, 4, lambda _: kick))[-1]
-        assert rows.tobytes() == alone.tobytes()
-
 
 class TestDiagnostics:
     def test_density_width_analytic(self):
