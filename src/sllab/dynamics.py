@@ -223,7 +223,8 @@ def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
 
     def half_kick(cur_psi):
         nonlocal q_prev, q_last
-        factor = work.array("factor", cur_psi.shape, complex, fill=half)
+        factor = work.array("factor", cur_psi.shape, complex,
+                            fill=lambda: half)
         sub = lam < 1.0
         if not sub.any():
             return factor
@@ -241,7 +242,7 @@ def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
         veff = work.array("veff", q.shape)
         np.copyto(veff, (lam[sub] - 1.0).reshape(field_shape))
         np.multiply(veff, q, out=veff)
-        np.add(work.array("v", q.shape, fill=v), veff, out=veff)
+        np.add(work.array("v", q.shape, fill=lambda: v), veff, out=veff)
         kick = factor if sub.all() else work.array("kick", q.shape, complex)
         np.copyto(kick, veff)
         np.multiply(-0.5j, kick, out=kick)

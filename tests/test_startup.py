@@ -1,8 +1,10 @@
 """The package and the 1-D wave experiments run on numpy alone: scipy is
 imported only by the code that uses it (2-D fields, chi-square p-values,
-the LP)."""
+the LP).  numpy.fft, which numpy >= 2 imports on first use, is imported
+with the package."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ import sllab, sllab.cli, sllab.experiments, sllab.contextuality
 from sllab.cli import main
 from sllab.experiments import ExperimentConfig, run_experiment
 
+fft_at_import = "numpy.fft" in sys.modules
 docs = json.loads(sys.argv[1])
 out = sys.argv[2]
 cfg_path = out + "/validate.json"
@@ -24,8 +27,9 @@ assert main(["validate", cfg_path]) == 0
 for i, doc in enumerate(docs):
     summary = run_experiment(ExperimentConfig.from_dict(doc), f"{out}/{i}")
     assert summary["passed"], doc["experiment"]
-print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps({"fft_at_import": fft_at_import,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m == "scipy" or m.startswith("scipy."))}))
 """
 
 DOCS = [
@@ -43,7 +47,9 @@ DOCS = [
 def test_no_scipy_for_1d_wave_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, json.dumps(DOCS), str(tmp_path)],
-        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-        timeout=300)
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
+        capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "fft_at_import": True, "scipy": []}
