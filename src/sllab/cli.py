@@ -114,25 +114,40 @@ def _cmd_report(args) -> int:
     if not manifest_path.is_file():
         print(f"no manifest.json in {rundir}", file=sys.stderr)
         return EXIT_CONFIG
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        experiment = manifest["config"]["experiment"]
+        config_hash = str(manifest["config_hash"])
+        checksums = manifest["checksums"]
+        if not isinstance(checksums, dict):
+            raise TypeError("checksums is not an object")
+    except (ValueError, LookupError, TypeError) as exc:
+        print(f"bad manifest.json in {rundir}: {exc!r}", file=sys.stderr)
+        return EXIT_CONFIG
 
     bad = []
-    for name, digest in manifest["checksums"].items():
+    for name, digest in checksums.items():
+        # only a plain file of the run directory is read
         f = rundir / name
-        if not f.is_file():
+        if name in ("", "..") or Path(name).name != name or f.is_symlink():
+            bad.append((name, "not a file name in the run directory"))
+        elif not f.is_file():
             bad.append((name, "missing"))
         elif sha256_file(f) != digest:
             bad.append((name, "checksum mismatch"))
-    print(f"run: {manifest['config']['experiment']} "
-          f"(config {manifest['config_hash'][:12]})")
-    print(f"files: {len(manifest['checksums'])}, "
-          f"verified: {len(manifest['checksums']) - len(bad)}")
+    print(f"run: {experiment} (config {config_hash[:12]})")
+    print(f"files: {len(checksums)}, verified: {len(checksums) - len(bad)}")
     for name, why in bad:
         print(f"  [FAIL] {name}: {why}")
 
     if summary_path.is_file():
-        summary = json.loads(summary_path.read_text())
-        for name, ok in summary.get("assertions", {}).items():
+        try:
+            summary = json.loads(summary_path.read_text())
+            assertions = dict(summary.get("assertions", {}))
+        except (ValueError, TypeError, AttributeError) as exc:
+            print(f"  [FAIL] summary.json: unreadable ({exc!r})")
+            return EXIT_ASSERT
+        for name, ok in assertions.items():
             print(f"  [{'pass' if ok else 'FAIL'}] {name}")
         if not summary.get("passed", False):
             return EXIT_ASSERT

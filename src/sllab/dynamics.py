@@ -24,6 +24,8 @@ call gives.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,12 +59,14 @@ class EvolutionConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
+        if not (isinstance(self.dt, numbers.Real) and math.isfinite(self.dt)
+                and self.dt > 0):
+            raise ValueError(f"dt must be a finite number > 0, got {self.dt!r}")
+        for name in ("steps", "snapshot_stride"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                    or v < 1):
+                raise ValueError(f"{name} must be an int >= 1, got {v!r}")
 
     def check_stability(self, grid: Grid) -> None:
         # Guard against aliasing of the kinetic phase factor at the grid's

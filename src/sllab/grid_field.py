@@ -90,8 +90,9 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise GridError(f"dim must be 1 or 2, got {self.dim}")
-        if self.length <= 0:
-            raise GridError(f"grid length must be positive, got {self.length}")
+        if not 0 < self.length < np.inf:
+            raise GridError(
+                f"grid length must be finite and positive, got {self.length}")
         if not _is_power_of_two(self.npoints) or self.npoints < 16:
             raise GridError(
                 f"points per axis must be a power of two >= 16, got {self.npoints}"
@@ -436,42 +437,27 @@ def _unwrap_phase(raw: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
 
     Neighbours are taken in the order (axis 0: -1, +1), (axis 1: -1, +1),
     periodic, so the search tree, and with it every unwrapped value, is
-    fixed by the field alone.  On a 1-D ring that tree is two walks from
-    the start, one to each side, and the walk to the -1 side takes the
-    antipode of an even ring.
+    fixed by the field alone.  The search runs one level at a time: the
+    next level is the unseen neighbours of this one, in the order a queue
+    would reach them, each unwrapped from the first point that names it.
     """
-    if raw.ndim == 1:
-        return _unwrap_ring(raw, mask, start)
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
-    shape = raw.shape
-    size = raw.size
-    flat = np.arange(size).reshape(shape)
+    flat = np.arange(raw.size).reshape(raw.shape)
     nbrs = np.stack([np.roll(flat, -step, axis=ax).ravel()
-                     for ax in range(len(shape)) for step in (-1, 1)], axis=1)
-    valid = ~mask.ravel()
-    edge = valid[:, None] & valid[nbrs]
-    indptr = np.concatenate([[0], np.cumsum(edge.sum(axis=1))])
-    graph = csr_matrix((np.ones(int(indptr[-1])), nbrs[edge], indptr),
-                       shape=(size, size))
-    order, pred = breadth_first_order(graph, start, directed=True,
-                                      return_predecessors=True)
+                     for ax in range(raw.ndim) for step in (-1, 1)], axis=1)
     raw_flat = raw.ravel()
-    phase = np.full(size, np.nan)
+    phase = np.full(raw.size, np.nan)
     phase[start] = raw_flat[start]
-    # BFS order lists the points level by level, and the positions of
-    # their predecessors never decrease along it: level L + 1 is every
-    # point whose predecessor lies in levels 0..L
-    pos = np.empty(size, dtype=np.intp)
-    pos[order] = np.arange(len(order))
-    parent_pos = pos[pred[order[1:]]]
-    hi = 1
-    while hi < len(order):
-        lo, hi = hi, 1 + int(np.searchsorted(parent_pos, hi))
-        pts = order[lo:hi]
-        phase[pts] = _unwrap_from(phase[pred[pts]], raw_flat[pts])
-    return phase.reshape(shape)
+    seen = mask.ravel().copy()
+    seen[start] = True
+    level = np.array([start])
+    while level.size:
+        reached = nbrs[level].ravel()
+        first = np.unique(reached, return_index=True)[1]
+        first = np.sort(first[~seen[reached[first]]])
+        parents, level = level[first // nbrs.shape[1]], reached[first]
+        seen[level] = True
+        phase[level] = _unwrap_from(phase[parents], raw_flat[level])
+    return phase.reshape(raw.shape)
 
 
 def _unwrap_from(prev: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -482,27 +468,6 @@ def _unwrap_from(prev: np.ndarray, raw: np.ndarray) -> np.ndarray:
     # unwraps to 0.0
     turns = np.round((prev - raw) / (2.0 * np.pi)) + 0.0
     return raw + 2.0 * np.pi * turns
-
-
-def _unwrap_ring(raw: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
-    """`_unwrap_phase` on a 1-D ring: from `start` one walk to the -1 side
-    and one to the +1 side, each point unwrapped from the one before it,
-    up to the first masked point.  On a ring with no masked point the
-    walks meet, and the -1 walk takes the antipode of an even ring, as the
-    breadth-first search does."""
-    n = raw.size
-    phase = np.full(n, np.nan)
-    phase[start] = raw[start]
-    steps = np.arange(1, n)
-    lengths = [n // 2, (n - 1) // 2]
-    if mask.any():
-        lengths = [int(np.argmax(mask[(start + side * steps) % n]))
-                   for side in (-1, 1)]
-    for side, length in zip((-1, 1), lengths):
-        walk = np.r_[start, (start + side * steps[:length]) % n]
-        for prev, j in zip(walk[:-1], walk[1:]):
-            phase[j] = _unwrap_from(phase[prev], raw[j])
-    return phase
 
 
 def polar_decompose(psi: Wavefunction, eps_node: float | None = None,

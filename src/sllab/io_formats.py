@@ -20,10 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid_field import Grid, PhysicalParams, Wavefunction, polar_decompose, \
-    quantum_potential
+from .grid_field import Grid, GridError, PhysicalParams, Wavefunction, \
+    polar_decompose, quantum_potential
 
 MAGIC = b"SLF1"
+HEADER_BYTES = 28
 
 
 class FormatError(ValueError):
@@ -44,16 +45,27 @@ def write_slf1(psi: Wavefunction, path) -> None:
 
 
 def read_slf1(path) -> Wavefunction:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        dim, n = struct.unpack("<II", fh.read(8))
-        length, t = struct.unpack("<dd", fh.read(16))
+    """The field in an SLF1 file; FormatError for any file that is not one:
+    a bad magic, grid or time, a short header, or a payload of another
+    size."""
+    data = Path(path).read_bytes()
+    if data[:4] != MAGIC:
+        raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
+    if len(data) < HEADER_BYTES:
+        raise FormatError(f"truncated SLF1 header: {len(data)} bytes")
+    dim, n, length, t = struct.unpack_from("<IIdd", data, 4)
+    if not np.isfinite(t):
+        raise FormatError(f"non-finite SLF1 time {t}")
+    try:
         grid = Grid(dim=dim, length=length, npoints=n)
-        inter = np.frombuffer(fh.read(grid.size * 16), dtype="<f8")
-        if inter.size != grid.size * 2:
-            raise FormatError("truncated SLF1 payload")
+    except GridError as exc:
+        raise FormatError(f"bad SLF1 grid: {exc}") from None
+    extra = len(data) - HEADER_BYTES - grid.size * 16
+    if extra < 0:
+        raise FormatError("truncated SLF1 payload")
+    if extra > 0:
+        raise FormatError(f"{extra} trailing bytes after the SLF1 payload")
+    inter = np.frombuffer(data, dtype="<f8", offset=HEADER_BYTES)
     values = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
     return Wavefunction(grid, values, t)
 

@@ -112,6 +112,59 @@ class TestReport:
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", str(tmp_path / "nope")]) == 2
 
+    @staticmethod
+    def _run(tmp_path):
+        p = _cfg(tmp_path, {"experiment": "contextuality",
+                            "params": {"fixture": "hardy"}})
+        out = tmp_path / "out"
+        main(["run", p, "--out", str(out)])
+        return out
+
+    def test_report_manifest_not_json(self, tmp_path, capsys):
+        out = self._run(tmp_path)
+        (out / "manifest.json").write_text("{not json")
+        assert main(["report", str(out)]) == 2
+        assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["checksums", "config", "config_hash"])
+    def test_report_manifest_lacks_key(self, tmp_path, capsys, key):
+        out = self._run(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest[key]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["report", str(out)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_report_summary_not_json(self, tmp_path, capsys):
+        out = self._run(tmp_path)
+        (out / "summary.json").write_text("[1,")
+        assert main(["report", str(out)]) == 4
+        assert "[FAIL] summary.json" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["../outside.txt", "{outside}", "..",
+                                      "sub/analysis.json", "link.txt"])
+    def test_report_reads_only_run_files(self, tmp_path, capsys, monkeypatch,
+                                         name):
+        # each name points at a file outside the run whose digest is the
+        # one recorded, so reading it would verify
+        from sllab import io_formats
+
+        out = self._run(tmp_path)
+        outside = tmp_path / "outside.txt"
+        outside.write_text("not part of the run")
+        (out / "link.txt").symlink_to(outside)
+        name = name.format(outside=outside)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["checksums"][name] = io_formats.sha256_file(outside)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        hashed = []
+        real = io_formats.sha256_file
+        monkeypatch.setattr(io_formats, "sha256_file",
+                            lambda f: hashed.append(Path(f)) or real(f))
+        assert main(["report", str(out)]) == 4
+        assert f"[FAIL] {name}" in capsys.readouterr().out
+        assert hashed and all(f.parent == out for f in hashed)
+
 
 def _doc(experiment, seed=None, **params):
     doc = {"experiment": experiment, "params": params}

@@ -54,6 +54,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             _cfg(1e-3, 0)
 
+    @pytest.mark.parametrize("dt,steps,stride", [
+        (float("nan"), 10, 1), (float("inf"), 10, 1), ("1e-3", 10, 1),
+        (1e-3, 2.5, 1), (1e-3, True, 1), (1e-3, np.int64(0), 1),
+        (1e-3, 10, 1.5), (1e-3, 10, False), (1e-3, 10, 0)])
+    def test_rejects_bad_numbers(self, dt, steps, stride):
+        with pytest.raises(ValueError, match="dt|steps|snapshot_stride"):
+            EvolutionConfig(dt=dt, steps=steps, params=QUANTUM,
+                            potential=PotentialSpec.free(),
+                            snapshot_stride=stride)
+
+    def test_accepts_numpy_numbers(self):
+        cfg = EvolutionConfig(dt=np.float64(1e-3), steps=np.int64(10),
+                              params=QUANTUM, potential=PotentialSpec.free(),
+                              snapshot_stride=np.int32(2))
+        assert cfg.steps == 10
+
     def test_stability_guard(self):
         g = make_grid(1, 10.0, 256)  # dx ~ 0.039, dt_max ~ 4.9e-4
         cfg = _cfg(1e-2, 10)

@@ -222,7 +222,7 @@ class TestPolar:
 def _bfs_unwrap(raw, mask, start):
     """Breadth-first phase unwrap with a Python queue, neighbours in the
     order (axis 0: -1, +1), (axis 1: -1, +1): the reference for the
-    graph search in polar_decompose."""
+    level-by-level search in polar_decompose."""
     shape = raw.shape
     raw_flat = raw.ravel()
     phase = np.full(raw.size, np.nan)
@@ -278,27 +278,55 @@ class TestPhaseUnwrap:
         assert polar.S.tobytes() == ref.tobytes()
 
     @staticmethod
-    def _check_ring(raw, mask, start):
+    def _check(raw, mask, start):
         got = _unwrap_phase(raw, mask, start)
         ref = _bfs_unwrap(raw, mask, start)
         assert got.tobytes() == ref.tobytes()
         return got
 
     @staticmethod
-    def _raw(n, seed):
-        return np.random.default_rng(seed).uniform(-np.pi, np.pi, n)
+    def _raw(shape, seed):
+        return np.random.default_rng(seed).uniform(-np.pi, np.pi, shape)
+
+    @staticmethod
+    def _square_starts(n):
+        # corners and edge midpoints, whose neighbours wrap, and the centre
+        return sorted({0, n - 1, n * n - 1, n // 2, (n // 2) * n,
+                       (n // 2) * n + n - 1, (n // 2) * n + n // 2})
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17])
+    def test_unmasked_square(self, n):
+        # from level 2 on, most points of a level have two neighbours in
+        # the level before it; the first in neighbour order is the parent
+        for start in self._square_starts(n):
+            self._check(self._raw((n, n), n + start), np.zeros((n, n), bool),
+                        start)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17])
+    def test_masked_square(self, n):
+        rng = np.random.default_rng(n)
+        islands = 0
+        for frac in (0.3, 0.45, 0.6):
+            for start in self._square_starts(n):
+                mask = rng.random((n, n)) < frac
+                mask.flat[start] = False
+                got = self._check(self._raw((n, n), start), mask, start)
+                assert np.isnan(got[mask]).all()
+                islands += np.isnan(got[~mask]).sum()
+        # some unmasked points are cut off from the start and stay NaN
+        assert islands > 0 or n < 16
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 64, 65])
     def test_unmasked_ring(self, n):
         for start in sorted({0, n // 3, n - 1}):
-            self._check_ring(self._raw(n, n + start), np.zeros(n, bool), start)
+            self._check(self._raw(n, n + start), np.zeros(n, bool), start)
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_even_ring_antipode_from_minus_side(self, n):
         # one winding: walking down from 0 the phase falls, walking up it
         # rises, so the sign at the antipode tells which walk reached it
         raw = np.angle(np.exp(2j * np.pi * np.arange(n) / n))
-        got = self._check_ring(raw, np.zeros(n, bool), 0)
+        got = self._check(raw, np.zeros(n, bool), 0)
         assert got[n // 2] == pytest.approx(-np.pi)
         assert got[n // 2 - 1] == pytest.approx(np.pi * (1 - 2 / n))
 
@@ -307,8 +335,8 @@ class TestPhaseUnwrap:
         raw = self._raw(64, 7)
         mask = np.zeros(64, bool)
         mask[[20, 41]] = True
-        self._check_ring(raw, mask, start)
-        self._check_ring(raw, np.zeros(64, bool), start)
+        self._check(raw, mask, start)
+        self._check(raw, np.zeros(64, bool), start)
 
     @pytest.mark.parametrize("arc,start", [((10, 30), 17), ((50, 70), 60),
                                            ((50, 70), 2)])
@@ -317,14 +345,14 @@ class TestPhaseUnwrap:
         n = 64
         mask = np.ones(n, bool)
         mask[np.arange(*arc) % n] = False
-        got = self._check_ring(self._raw(n, 3), mask, start)
+        got = self._check(self._raw(n, 3), mask, start)
         assert np.array_equal(np.isfinite(got), ~mask)
 
     def test_only_start_unmasked(self):
         raw = self._raw(32, 5)
         mask = np.ones(32, bool)
         mask[9] = False
-        got = self._check_ring(raw, mask, 9)
+        got = self._check(raw, mask, 9)
         assert got[9] == raw[9]
         assert np.isnan(np.delete(got, 9)).all()
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -52,6 +53,30 @@ class TestSlf1:
         write_slf1(psi, p)
         p.write_bytes(p.read_bytes()[:-16])
         with pytest.raises(FormatError, match="truncated"):
+            read_slf1(p)
+
+    def test_short_header(self, tmp_path):
+        p = tmp_path / "short.slf1"
+        p.write_bytes(b"SLF1\x01\x00")
+        with pytest.raises(FormatError, match="header"):
+            read_slf1(p)
+
+    @pytest.mark.parametrize("dim,n,length,t", [
+        (3, 16, 10.0, 0.0), (1, 12, 10.0, 0.0), (1, 16, float("nan"), 0.0),
+        (1, 16, 10.0, float("inf"))])
+    def test_bad_header_fields(self, tmp_path, dim, n, length, t):
+        p = tmp_path / "bad.slf1"
+        p.write_bytes(b"SLF1" + struct.pack("<IIdd", dim, n, length, t)
+                      + b"\0" * 16 * n ** min(dim, 2))
+        with pytest.raises(FormatError):
+            read_slf1(p)
+
+    def test_trailing_bytes(self, tmp_path):
+        g = make_grid(1, 20.0, 16)
+        p = tmp_path / "field.slf1"
+        write_slf1(gaussian_packet(g), p)
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
             read_slf1(p)
 
     def test_deterministic_bytes(self, tmp_path):

@@ -1,7 +1,9 @@
 """The package and the 1-D wave experiments run on numpy alone: scipy is
-imported only by the code that uses it (2-D fields, chi-square p-values,
-the LP).  numpy.fft, which numpy >= 2 imports on first use, is imported
-with the package."""
+imported only by the code that uses it (the 2-D node fill, chi-square
+p-values, the LP).  numpy.fft, which numpy >= 2 imports on first use, is
+imported with the package.  The phase unwrap is numpy in every dimension,
+so exporting a 2-D field with nodes loads scipy.ndimage but no
+scipy.sparse."""
 
 import json
 import os
@@ -27,9 +29,17 @@ assert main(["validate", cfg_path]) == 0
 for i, doc in enumerate(docs):
     summary = run_experiment(ExperimentConfig.from_dict(doc), f"{out}/{i}")
     assert summary["passed"], doc["experiment"]
-print(json.dumps({"fft_at_import": fft_at_import,
-                  "scipy": sorted(m for m in sys.modules
-                                  if m == "scipy" or m.startswith("scipy."))}))
+scipy_1d = sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+from sllab.grid_field import gaussian_packet, make_grid, polar_decompose
+from sllab.io_formats import write_field_csv
+psi = gaussian_packet(make_grid(2, 10.0, 16), rho_width=0.5)
+assert polar_decompose(psi).node_mask.any()
+write_field_csv(psi, out + "/field_2d.csv")
+print(json.dumps({"fft_at_import": fft_at_import, "scipy": scipy_1d,
+                  "ndimage_2d": "scipy.ndimage" in sys.modules,
+                  "sparse_2d": sorted(m for m in sys.modules
+                                      if m.startswith("scipy.sparse"))}))
 """
 
 DOCS = [
@@ -52,4 +62,5 @@ def test_no_scipy_for_1d_wave_runs(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "fft_at_import": True, "scipy": []}
+        "fft_at_import": True, "scipy": [], "ndimage_2d": True,
+        "sparse_2d": []}
