@@ -449,11 +449,15 @@ def _unwrap_phase(raw: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
     phase[start] = raw_flat[start]
     seen = mask.ravel().copy()
     seen[start] = True
+    # the first position at which a level's neighbour list names a point;
+    # a point is named unseen by one level only, the one before its own
+    claim = np.full(raw.size, nbrs.size)
     level = np.array([start])
     while level.size:
         reached = nbrs[level].ravel()
-        first = np.unique(reached, return_index=True)[1]
-        first = np.sort(first[~seen[reached[first]]])
+        at = np.flatnonzero(~seen[reached])
+        np.minimum.at(claim, reached[at], at)
+        first = at[claim[reached[at]] == at]
         parents, level = level[first // nbrs.shape[1]], reached[first]
         seen[level] = True
         phase[level] = _unwrap_from(phase[parents], raw_flat[level])

@@ -92,26 +92,6 @@ class TestFixtures:
 
 
 class TestReport:
-    def test_report_verifies(self, tmp_path, capsys):
-        p = _cfg(tmp_path, {"experiment": "contextuality",
-                            "params": {"fixture": "hardy"}})
-        out = tmp_path / "out"
-        main(["run", p, "--out", str(out)])
-        assert main(["report", str(out)]) == 0
-        assert "verified" in capsys.readouterr().out
-
-    def test_report_detects_tamper(self, tmp_path, capsys):
-        p = _cfg(tmp_path, {"experiment": "contextuality",
-                            "params": {"fixture": "hardy"}})
-        out = tmp_path / "out"
-        main(["run", p, "--out", str(out)])
-        (out / "analysis.json").write_text("{}")
-        assert main(["report", str(out)]) == 4
-        assert "mismatch" in capsys.readouterr().out
-
-    def test_report_missing_dir(self, tmp_path):
-        assert main(["report", str(tmp_path / "nope")]) == 2
-
     @staticmethod
     def _run(tmp_path):
         p = _cfg(tmp_path, {"experiment": "contextuality",
@@ -119,6 +99,20 @@ class TestReport:
         out = tmp_path / "out"
         main(["run", p, "--out", str(out)])
         return out
+
+    def test_report_verifies(self, tmp_path, capsys):
+        out = self._run(tmp_path)
+        assert main(["report", str(out)]) == 0
+        assert "verified" in capsys.readouterr().out
+
+    def test_report_detects_tamper(self, tmp_path, capsys):
+        out = self._run(tmp_path)
+        (out / "analysis.json").write_text("{}")
+        assert main(["report", str(out)]) == 4
+        assert "mismatch" in capsys.readouterr().out
+
+    def test_report_missing_dir(self, tmp_path):
+        assert main(["report", str(tmp_path / "nope")]) == 2
 
     def test_report_manifest_not_json(self, tmp_path, capsys):
         out = self._run(tmp_path)
