@@ -481,9 +481,14 @@ def polar_decompose(psi: Wavefunction, eps_node: float | None = None,
     Unwrapping seeds at the global maximum of R and spreads breadth-first
     to periodic neighbors, skipping node points (R < eps_node); node-point
     phases are then filled by nearest-neighbor continuation and flagged in
-    node_mask.
+    node_mask.  A field with a non-finite value raises FieldError.
     """
     R = np.abs(psi.values)
+    finite = np.isfinite(R)
+    if not finite.all():
+        bad = R.size - np.count_nonzero(finite)
+        raise FieldError(f"{bad} non-finite values in the field; "
+                         "phase undefined")
     if eps_node is None:
         eps_node = node_level(R, psi.grid.dim)
     mask = R < eps_node

@@ -46,8 +46,8 @@ def write_slf1(psi: Wavefunction, path) -> None:
 
 def read_slf1(path) -> Wavefunction:
     """The field in an SLF1 file; FormatError for any file that is not one:
-    a bad magic, grid or time, a short header, or a payload of another
-    size."""
+    a bad magic, grid or time, a short header, a payload of another size,
+    or a non-finite payload value."""
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
@@ -66,6 +66,10 @@ def read_slf1(path) -> Wavefunction:
     if extra > 0:
         raise FormatError(f"{extra} trailing bytes after the SLF1 payload")
     inter = np.frombuffer(data, dtype="<f8", offset=HEADER_BYTES)
+    finite = np.isfinite(inter).reshape(-1, 2).all(axis=1)
+    if not finite.all():
+        bad = finite.size - np.count_nonzero(finite)
+        raise FormatError(f"{bad} non-finite values in the SLF1 payload")
     values = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
     return Wavefunction(grid, values, t)
 

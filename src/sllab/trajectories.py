@@ -15,7 +15,10 @@ bit for bit as it would run alone: every velocity field is built once per
 time for all of them, and rules that share a seed and an ensemble size
 draw each noise row once.  Noise is drawn through one Philox bit
 generator re-keyed to each particle's stream, which costs less than
-building a generator per particle and gives the same values.
+building a generator per particle and gives the same values.  Its rows
+come from one step-major buffer per stream, refilled every _NOISE_BLOCK
+steps: a row is contiguous and valid until the next one is drawn, so a
+transport uses each row at once.
 
 The loop records positions only at the steps a schedule (`keep`) names,
 so memory grows with the ensembles, not with the step count.
@@ -46,6 +49,7 @@ from .grid_field import (
 from .dynamics import EvolutionTrace
 
 _NOISE_BLOCK = 512  # time steps of noise generated per particle at once
+_NOISE_TILE = 64  # particles drawn into the scratch before one copy-in
 
 
 @dataclass(frozen=True)
@@ -385,6 +389,7 @@ def transport(trace: EvolutionTrace, runs: Sequence, dt: float,
     for i in range(nsteps):
         t = t0 + i * dt
         vf = interp.velocity_at(t)
+        # a noise row is valid only until its stream's next row is drawn
         kicks = {key: amp * next(rows) for key, rows in noise.items()}
         for k, advance in enumerate(advances):
             cells = _cells(grid, qs[k])
@@ -422,30 +427,37 @@ def _philox_start(seed: int, i: int, zeros: np.ndarray) -> dict:
 
 
 def _philox_noise(seed: int, npart: int, nsteps: int, dim: int):
-    """Standard normal increments, one (npart, dim) array per step, drawn in
+    """Standard normal increments, one (npart, dim) row per step, drawn in
     blocks of _NOISE_BLOCK steps from particle i's Philox stream keyed by
     (seed, i), so a path does not depend on the ensemble size.
 
     Every stream is drawn through one bit generator: it is set to particle
     i's state before i's draws, and that state is read back only when
-    another block follows.
+    another block follows.  The rows are the steps of one step-major buffer
+    that every block refills, so each is C-contiguous and valid only until
+    the next row is requested.  A block is drawn _NOISE_TILE particles at a
+    time into a small particle-major scratch and copied in transposed.
     """
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
     zeros = np.zeros(4, np.uint64)
     states = [None] * npart
+    rows = np.empty((min(_NOISE_BLOCK, nsteps), npart, dim))
+    tile = np.empty((min(_NOISE_TILE, npart), len(rows), dim))
     for start in range(0, nsteps, _NOISE_BLOCK):
         width = min(_NOISE_BLOCK, nsteps - start)
         more = start + width < nsteps
-        block = np.empty((npart, width, dim))
-        for j in range(npart):
-            state = states[j]
-            bitgen.state = (_philox_start(seed, j, zeros) if state is None
-                            else state)
-            block[j] = gen.standard_normal((width, dim))
-            if more:
-                states[j] = bitgen.state
-        yield from block.swapaxes(0, 1)
+        for lo in range(0, npart, _NOISE_TILE):
+            hi = min(lo + _NOISE_TILE, npart)
+            for j in range(lo, hi):
+                state = states[j]
+                bitgen.state = (_philox_start(seed, j, zeros) if state is None
+                                else state)
+                gen.standard_normal(out=tile[j - lo, :width])
+                if more:
+                    states[j] = bitgen.state
+            rows[:width, lo:hi] = tile[:hi - lo, :width].swapaxes(0, 1)
+        yield from rows[:width]
 
 
 def integrate_nelson(trace: EvolutionTrace, q0_list, dt: float,

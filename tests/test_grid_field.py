@@ -200,6 +200,14 @@ class TestPolar:
         with pytest.raises(FieldError):
             polar_decompose(Wavefunction(g, vals))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_non_finite_value_named(self, dim):
+        psi = gaussian_packet(make_grid(dim, 10.0, 16))
+        vals = psi.values.copy()
+        vals.flat[5] = np.nan
+        with pytest.raises(FieldError, match="1 non-finite values"):
+            polar_decompose(Wavefunction(psi.grid, vals))
+
     def test_node_mask_flags_zero_crossing(self):
         g = make_grid(1, 20.0, 256)
         psi = Wavefunction(g, (g.axis_coords + 0j)

@@ -5,7 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from sllab.grid_field import PhysicalParams, gaussian_packet, make_grid
+from sllab.grid_field import (
+    PhysicalParams,
+    Wavefunction,
+    gaussian_packet,
+    make_grid,
+)
 from sllab.io_formats import (
     FormatError,
     canonical_json,
@@ -77,6 +82,17 @@ class TestSlf1:
         write_slf1(gaussian_packet(g), p)
         p.write_bytes(p.read_bytes() + b"\0")
         with pytest.raises(FormatError, match="1 trailing bytes"):
+            read_slf1(p)
+
+    def test_non_finite_payload(self, tmp_path):
+        g = make_grid(1, 20.0, 16)
+        p = tmp_path / "field.slf1"
+        psi = gaussian_packet(g)
+        vals = psi.values.copy()
+        vals[3] = complex(np.nan, 0.0)
+        vals[9] = complex(0.0, np.inf)
+        write_slf1(Wavefunction(g, vals, psi.t), p)
+        with pytest.raises(FormatError, match="2 non-finite values"):
             read_slf1(p)
 
     def test_deterministic_bytes(self, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -395,15 +397,40 @@ class TestLockstep:
 
 
 class TestNoise:
-    # one block, three and six: states carried across block boundaries
-    @pytest.mark.parametrize("nsteps", [60, 1100, 2600])
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_streams_equal_per_particle_generators(self, nsteps, dim):
-        seed, npart = 11, 7
-        rows = np.array([row.copy()
-                         for row in _philox_noise(seed, npart, nsteps, dim)])
+    @staticmethod
+    def _check_streams(seed, npart, nsteps, dim):
+        rows = []
+        for row in _philox_noise(seed, npart, nsteps, dim):
+            assert row.shape == (npart, dim) and row.flags.c_contiguous
+            rows.append(row.copy())
+        rows = np.array(rows)
         assert rows.shape == (nsteps, npart, dim)
         for i in range(npart):
             gen = np.random.Generator(np.random.Philox(key=[seed, i]))
             assert _bits(rows[:, i]) == _bits(gen.standard_normal((nsteps,
                                                                    dim)))
+
+    # one block, three and six: states carried across block boundaries
+    @pytest.mark.parametrize("nsteps", [60, 1100, 2600])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_streams_equal_per_particle_generators(self, nsteps, dim):
+        self._check_streams(11, 7, nsteps, dim)
+
+    # two full tiles of particles and a partial one, one block or a
+    # partial last block
+    @pytest.mark.parametrize("nsteps", [60, 1100])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_partial_tile(self, nsteps, dim):
+        self._check_streams(5, 150, nsteps, dim)
+
+    def test_one_block_resident(self):
+        npart, dim = 2000, 1
+        block_bytes = 512 * npart * dim * 8
+        tracemalloc.start()
+        try:
+            for _ in _philox_noise(3, npart, 3 * 512, dim):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes
