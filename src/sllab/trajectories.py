@@ -26,7 +26,9 @@ so memory grows with the ensembles, not with the step count.
 and `step_times`, which every transport calls, checks dt and the step
 count.  Velocities at points are read from `velocity_field` grids through
 `interpolate_grid`; node points take the nearest valid value
-(`grid_field.fill_nodes`).
+(`grid_field.fill_nodes`).  A field is filled only when a gather reaches a
+cell with a node corner, once for v and b together, and the gathered bytes
+are those of a field filled when it was built.
 """
 
 from __future__ import annotations
@@ -52,16 +54,61 @@ _NOISE_BLOCK = 512  # time steps of noise generated per particle at once
 _NOISE_TILE = 64  # particles drawn into the scratch before one copy-in
 
 
-@dataclass(frozen=True)
 class VelocityField:
     """Current velocity v and forward drift b = v + u (u the osmotic
     velocity) on a grid (per axis), with |psi| and the level 1e-6 max|psi|
-    below which a point is a node."""
+    below which a point is a node.
 
-    v: tuple
-    b: tuple
-    abs_psi: np.ndarray
-    node_level: float
+    v and b are built raw and filled at node points (`grid_field.fill_nodes`)
+    on first need, at most once: when a gather reaches a cell with a node
+    corner, or when `v` or `b` is read.  A point away from the nodes is its
+    own fill source, and at a node the filled b is v + u of the same source
+    point, so every gathered value has the bytes of a field filled up front.
+    """
+
+    def __init__(self, v: tuple, b: tuple, abs_psi: np.ndarray,
+                 node_level: float, mask: np.ndarray):
+        self.abs_psi = abs_psi
+        self.node_level = node_level
+        self._grids = {"v": v, "b": b}
+        self._mask = mask if mask.any() else None  # None: nothing to fill
+        self._node_cells = None
+
+    @property
+    def v(self) -> tuple:
+        """The current velocity grids, node points filled."""
+        self._fill()
+        return self._grids["v"]
+
+    @property
+    def b(self) -> tuple:
+        """The forward drift grids, node points filled."""
+        self._fill()
+        return self._grids["b"]
+
+    def gather(self, name: str, cells: list) -> np.ndarray:
+        """The grids `name` ("v" or "b") at the points of `cells`: (N, dim).
+        The field is filled first if a cell has a node corner."""
+        if self._mask is not None and self._reaches_node(cells):
+            self._fill()
+        return _gather_axes(self._grids[name], cells)
+
+    def _reaches_node(self, cells: list) -> bool:
+        """Whether a cell of `cells` has a node corner: one look-up of each
+        cell's lower corner in a table, built once, of the cells with one."""
+        if self._node_cells is None:
+            table = self._mask
+            for ax in range(table.ndim):
+                table = table | np.roll(table, -1, axis=ax)
+            self._node_cells = table.ravel()
+        return bool(self._node_cells.take(cells[0][0]).any())
+
+    def _fill(self) -> None:
+        if self._mask is not None:
+            v, b = self._grids["v"], self._grids["b"]
+            filled = fill_nodes(self._mask, len(v), *v, *b)
+            self._grids = {"v": filled[:len(v)], "b": filled[len(v):]}
+            self._mask = self._node_cells = None
 
 
 @dataclass
@@ -91,10 +138,11 @@ class TrajectoryEnsemble:
 
 def velocity_field(psi_values: np.ndarray, grid: Grid,
                    params: PhysicalParams) -> VelocityField:
-    """Current and osmotic velocity grids from a complex field.
+    """Current velocity and forward drift grids from a complex field.
 
     grad(psi)/psi splits as Re -> osmotic * m/hbar, Im -> current * m/hbar.
-    Near-node points take the value of the nearest valid point.
+    Near-node points take the value of the nearest valid point, filled only
+    when a gather reaches a cell with a node corner (see VelocityField).
     """
     absv = np.abs(psi_values)
     level = node_level(absv, grid.dim).item()
@@ -103,11 +151,9 @@ def velocity_field(psi_values: np.ndarray, grid: Grid,
     scale = params.hbar / params.m
     ratios = [differentiate(psi_values, grid, axis=ax, order=1) / safe
               for ax in range(grid.dim)]
-    filled = fill_nodes(mask, grid.dim, *[scale * r.imag for r in ratios],
-                        *[scale * r.real for r in ratios])
-    v, u = filled[:grid.dim], filled[grid.dim:]
-    return VelocityField(v=v, b=tuple(va + ua for va, ua in zip(v, u)),
-                         abs_psi=absv, node_level=level)
+    v = tuple(scale * r.imag for r in ratios)
+    b = tuple(va + scale * r.real for va, r in zip(v, ratios))
+    return VelocityField(v, b, absv, level, mask)
 
 
 def _cells(grid: Grid, points: np.ndarray) -> list:
@@ -297,7 +343,7 @@ def _pilot_wave_step(rule: StepRule, interp: FrameInterpolator, dt: float):
     extra = rule.drift_extra
 
     def vel(t, vf, cells, q):
-        out = _gather_axes(vf.v, cells)
+        out = vf.gather("v", cells)
         return out if extra is None else out + extra(t, q)
 
     def vel_at(t, q):
@@ -322,7 +368,7 @@ def _diffusion_step(rule: StepRule, interp: FrameInterpolator, dt: float):
     zero = rule.drift_override == "zero"
 
     def advance(t, vf, q, cells, kick):
-        b = 0.0 if zero else _gather_axes(vf.b, cells)
+        b = 0.0 if zero else vf.gather("b", cells)
         if extra is not None:
             b = b + extra(t, q)
         return grid.wrap(q + b * dt + kick)
@@ -341,7 +387,7 @@ def transport(trace: EvolutionTrace, runs: Sequence, dt: float,
     velocity field of each time is built once for all of them, and Nelson
     rules with the same seed and ensemble size draw each noise row once.
     A particle is flagged when |psi| at its position is below the field's
-    node level at the start of a step.
+    node level at the start of a step.  Initial positions must be finite.
     steps: at most this many steps (required for a static trace).
     keep: the step indices to record (negative ones count from the end);
     None records every step.
@@ -358,12 +404,17 @@ def transport(trace: EvolutionTrace, runs: Sequence, dt: float,
 
     qs, advances, streams, positions, flags = [], [], [], [], []
     noise = {}  # (seed, ensemble size) -> its noise rows
-    for q0, rule in runs:
-        q = grid.wrap(np.atleast_2d(np.asarray(q0, dtype=float)
-                                    .reshape(len(q0), grid.dim)))
+    for k, (q0, rule) in enumerate(runs):
+        q = np.atleast_2d(np.asarray(q0, dtype=float)
+                          .reshape(len(q0), grid.dim))
         npart = q.shape[0]
         if npart == 0:
             raise ValueError("need at least one initial position")
+        finite = np.isfinite(q).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"run {k}: {npart - np.count_nonzero(finite)} "
+                             f"of {npart} initial positions are not finite")
+        q = grid.wrap(q)
         if rule.kind == "bohmian":
             advances.append(_pilot_wave_step(rule, interp, dt))
             streams.append(None)

@@ -31,8 +31,8 @@ from sllab.grid_field import (
 )
 from sllab.io_formats import sha256_file
 from sllab.measurement import PointerModel, run_measurement
-from sllab.trajectories import integrate_bohmian, integrate_nelson, \
-    static_trace
+from sllab.trajectories import StepRule, integrate_bohmian, static_trace, \
+    transport
 from oracles import crank_nicolson_evolve
 
 QUANTUM = PhysicalParams.quantum()
@@ -133,11 +133,13 @@ def test_06_born_rule_from_diffusion():
     psi = harmonic_ground_state(g)
     trace = static_trace(psi)
     q0 = sample_density(psi.density(), g, 10_000, 11)
-    # t = 20
-    ens = integrate_nelson(trace, q0, 2e-3, QUANTUM, 11, steps=10_000)
+    # t = 20; the diffusion and its Brownian control share one noise draw
+    # and record only their final positions
+    ens, ctrl = transport(trace, [(q0, StepRule("nelson", rng_seed=11)),
+                                  (q0, StepRule("nelson", rng_seed=11,
+                                                drift_override="zero"))],
+                          2e-3, QUANTUM, steps=10_000, keep=[-1])
     rep = chi2_against_target(ens.final_positions()[:, 0], psi.density(), g, 50)
-    ctrl = integrate_nelson(trace, q0, 2e-3, QUANTUM, 11, steps=10_000,
-                            drift_override="zero")
     rep_ctrl = chi2_against_target(ctrl.final_positions()[:, 0],
                                    psi.density(), g, 50)
     ok = rep.p_value > 0.01 and rep_ctrl.p_value < 1e-6

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sllab.dynamics import EvolutionConfig, evolve
+from sllab import trajectories
 from sllab.grid_field import (
     PhysicalParams,
     PotentialSpec,
+    Wavefunction,
     gaussian_packet,
     harmonic_ground_state,
     make_grid,
@@ -25,7 +27,7 @@ from sllab.trajectories import (
     velocity_field,
 )
 from oracles import free_gaussian_bohm_path
-from test_bit_identity import _node_state
+from test_bit_identity import _ensemble_digest, _node_state
 
 QUANTUM = PhysicalParams.quantum()
 
@@ -139,6 +141,14 @@ class TestBohmian:
             integrate_bohmian(static_trace(psi), np.empty((0, 1)), 1e-2,
                               QUANTUM, steps=10)
 
+    def test_non_finite_start_rejected(self):
+        # used to return NaN paths that were not node-flagged
+        psi = harmonic_ground_state(make_grid(1, 20.0, 64))
+        with pytest.raises(ValueError, match="run 0: 2 of 3 initial "
+                                             "positions are not finite"):
+            integrate_bohmian(static_trace(psi), [0.1, np.nan, np.inf], 1e-2,
+                              QUANTUM, steps=5)
+
     def test_node_flagging(self):
         g = make_grid(1, 20.0, 256)
         vals = (g.axis_coords + 0j) * np.exp(-g.axis_coords ** 2 / 4)
@@ -177,6 +187,13 @@ class TestNelson:
         a = integrate_nelson(trace, x0, 1e-2, QUANTUM, 1, steps=50)
         b = integrate_nelson(trace, x0, 1e-2, QUANTUM, 2, steps=50)
         assert not np.array_equal(a.positions, b.positions)
+
+    def test_non_finite_start_rejected(self):
+        psi = harmonic_ground_state(make_grid(1, 20.0, 64))
+        with pytest.raises(ValueError, match="run 0: 2 of 3 initial "
+                                             "positions are not finite"):
+            integrate_nelson(static_trace(psi), [0.1, np.nan, -np.inf], 1e-2,
+                             QUANTUM, 0, steps=5)
 
     def test_static_trace_needs_steps(self):
         psi = harmonic_ground_state(make_grid(1, 20.0, 256))
@@ -390,6 +407,16 @@ class TestLockstep:
             _assert_same(ens, integrate_bohmian(
                 trace, q0, dt, QUANTUM, drift_extra=extra, keep=[0, -1]))
 
+    def test_non_finite_start_names_its_run(self):
+        trace, q0, dt, _, steps, _, _ = _pointer_case()
+        bad = q0.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="run 1: 1 of 6 initial "
+                                             "positions are not finite"):
+            transport(trace, [(q0, StepRule("bohmian")),
+                              (bad, StepRule("nelson", rng_seed=0))],
+                      dt, QUANTUM, steps)
+
     def test_no_ensemble_rejected(self):
         trace, _, dt, _, steps, _, _ = _static_case()
         with pytest.raises(ValueError, match="ensemble"):
@@ -434,3 +461,116 @@ class TestNoise:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * block_bytes
+
+
+def _node_line_case():
+    """A static 2-D field x exp(-(x^2 + y^2)/4) exp(iy): a node line on the
+    grid column x = 0, and q0[:3] in cells with a corner on it."""
+    grid = make_grid(2, 20.0, 32)
+    x, y = grid.meshgrid()
+    vals = x * np.exp(-(x ** 2 + y ** 2) / 4) * np.exp(1j * y)
+    trace = static_trace(Wavefunction(grid, vals.astype(complex)).normalized())
+    q0 = np.array([[0.2, 0.0], [-0.3, 1.0], [0.1, -1.2], [2.0, 0.5],
+                   [-2.5, -0.4]])
+    return trace, q0, 1e-2, 4, 30, 30, None
+
+
+def _odd_moving_case():
+    """x exp(-x^2/4) breathing in a harmonic well: odd in every frame, so
+    the node stays on the grid point x = 0, and q0[:4] start in cells with
+    a corner on it."""
+    grid = make_grid(1, 20.0, 128)
+    cfg = EvolutionConfig(dt=1e-3, steps=200, params=QUANTUM,
+                          potential=PotentialSpec.harmonic(),
+                          snapshot_stride=10)
+    trace = evolve(_node_state(grid, 0.0), cfg)
+    q0 = np.array([[0.05], [-0.1], [0.15], [-0.02], [1.5], [-2.0]])
+    return trace, q0, 1e-2, 6, None, None, None
+
+
+NODE_CASES = {"node_line": _node_line_case, "odd_moving": _odd_moving_case}
+
+# recorded with every velocity field filled at its nodes when it was built
+NODE_DIGESTS = {
+    "node_line_bohmian":
+        "13fd39416b8ec8ef390fc8b7141f9e7d8ea2221b936b803f143a7d753f0b211d",
+    "node_line_nelson":
+        "ae4b55f54427e51fec37724b30de110a97c83e225f46e7537128b164e97bef5a",
+    "odd_moving_bohmian":
+        "5097000bf923aa991fdb0471845a8ee486bb2a29ba9ad2a04e66aa22fa5dfadd",
+    "odd_moving_nelson":
+        "24fc27c8d3b2944060c4533e2f059e812c20b3a234e108b3e0f1983deae3f598",
+}
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """The number of fill_nodes calls the transport has made so far."""
+    calls = []
+    real = trajectories.fill_nodes
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trajectories, "fill_nodes", counted)
+    return calls
+
+
+class TestLazyNodeFill:
+    # velocity grids are filled at their nodes only once a gather reaches
+    # a cell with a node corner; the bytes must be those of a field filled
+    # up front
+    @pytest.mark.parametrize("integrator", ["bohmian", "nelson"])
+    @pytest.mark.parametrize("name", sorted(NODE_CASES))
+    def test_node_cells_match_recorded_digest(self, name, integrator, fills):
+        ens = _run(integrator, NODE_CASES[name]())
+        assert _ensemble_digest(ens) == NODE_DIGESTS[f"{name}_{integrator}"]
+        assert fills
+
+    @pytest.mark.parametrize("integrator", ["bohmian", "nelson"])
+    @pytest.mark.parametrize("name", ["moving", "static"])
+    def test_bit_identity_cases_read_filled_values(self, name, integrator,
+                                                   fills):
+        _run(integrator, CASES[name]())
+        assert fills
+
+    def test_zero_drift_never_fills(self, fills):
+        # the control run gathers no drift, only |psi| for the node flags
+        trace, q0, dt, seed, _, steps, _ = _static_case()
+        integrate_nelson(trace, q0, dt, QUANTUM, seed, steps=steps,
+                         drift_override="zero")
+        assert not fills
+
+    def test_particles_inside_the_packet_never_fill(self, fills):
+        trace, q0, dt, seed, _, _, extra = _pointer_case()
+        inside = q0[:4]  # near the branch centres, far from every node
+        transport(trace, [(inside, StepRule("bohmian", extra)),
+                          (inside, StepRule("nelson", extra, seed))],
+                  dt, QUANTUM)
+        assert not fills
+
+    def test_one_fill_per_field(self, fills):
+        trace, q0, dt, seed, steps, _, _ = _node_line_case()
+        transport(trace, [(q0, StepRule("bohmian")),
+                          (q0, StepRule("nelson", rng_seed=seed))],
+                  dt, QUANTUM, steps)
+        assert len(fills) == 1  # one static field
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_masked_points_take_nearest_valid_value(self, dim):
+        grid = make_grid(dim, 20.0, 32)
+        r2 = sum(c ** 2 for c in grid.meshgrid())
+        x = grid.meshgrid()[0]
+        psi = (x - 1.25) * np.exp(-r2 / 4 + 0.7j * x)  # node on x = 1.25
+        vf = trajectories.velocity_field(psi, grid, QUANTUM)
+        mask = vf.abs_psi < vf.node_level
+        assert mask.any() and not mask.all()
+        pts = np.indices(mask.shape).reshape(dim, -1).T
+        valid = pts[~mask.ravel()]
+        for p in pts[mask.ravel()]:
+            d2 = ((valid - p) ** 2).sum(axis=1)
+            near = [tuple(q) for q in valid[d2 == d2.min()]]
+            # one nearest valid point is the source of every grid
+            got = [f[tuple(p)] for f in vf.v + vf.b]
+            assert any(got == [f[q] for f in vf.v + vf.b] for q in near)
