@@ -104,6 +104,7 @@ class VelocityField:
         return bool(self._node_cells.take(cells[0][0]).any())
 
     def _fill(self) -> None:
+        """Fill v and b at the node points, unless that is done already."""
         if self._mask is not None:
             v, b = self._grids["v"], self._grids["b"]
             filled = fill_nodes(self._mask, len(v), *v, *b)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sllab.dynamics import EvolutionConfig, evolve
 from sllab import trajectories
+from sllab.dynamics import EvolutionConfig, evolve
 from sllab.grid_field import (
     PhysicalParams,
     PotentialSpec,
@@ -505,7 +505,7 @@ NODE_DIGESTS = {
 
 @pytest.fixture
 def fills(monkeypatch):
-    """The number of fill_nodes calls the transport has made so far."""
+    """One entry per fill_nodes call made through the trajectories module."""
     calls = []
     real = trajectories.fill_nodes
 
@@ -560,10 +560,10 @@ class TestLazyNodeFill:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_masked_points_take_nearest_valid_value(self, dim):
         grid = make_grid(dim, 20.0, 32)
-        r2 = sum(c ** 2 for c in grid.meshgrid())
-        x = grid.meshgrid()[0]
+        coords = grid.meshgrid()
+        x, r2 = coords[0], sum(c ** 2 for c in coords)
         psi = (x - 1.25) * np.exp(-r2 / 4 + 0.7j * x)  # node on x = 1.25
-        vf = trajectories.velocity_field(psi, grid, QUANTUM)
+        vf = velocity_field(psi, grid, QUANTUM)
         mask = vf.abs_psi < vf.node_level
         assert mask.any() and not mask.all()
         pts = np.indices(mask.shape).reshape(dim, -1).T
