@@ -16,10 +16,13 @@ Fourier space, half kick), shared with the pointer model of
 that closes one step also opens the next: at lam < 1 the quantum
 potential is evaluated once per step, from |psi| after the kinetic
 factor (first order in dt for the nonlinear part), and at lam = 1 the
-kick factor is exponentiated once per run.  The stepper advances a stack
-of fields at once, each with its own lam; `lambda_sweep` runs all its
-fields in one stack, and each row gives the bytes a separate `evolve`
-call gives.
+kick factor is exponentiated once per run.  The lam < 1 kick owns its Q
+kernel (`_QKernel`): one real transform of R over the field axes, the
+|k|^2 multiply on the half spectrum, one inverse real transform, the
+division by R and the node fill, on arrays kept while the stack keeps
+its shape.  The stepper advances a stack of fields at once, each with
+its own lam; `lambda_sweep` runs all its fields in one stack, and each
+row gives the bytes a separate `evolve` call gives.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from .grid_field import (
     PhysicalParams,
     PotentialSpec,
     Wavefunction,
-    Workspace,
     differentiate,
+    fill_nodes,
     laplacian,
-    quantum_potential_from_abs,
+    node_level,
 )
 
 
@@ -190,6 +193,50 @@ def _split_step(psi: np.ndarray, kinetic: np.ndarray, steps: int,
     return run(psi, spec, kinetic, factor)
 
 
+class _QKernel:
+    """The quantum potential of some rows of a stack of fields, on arrays
+    kept from one call to the next.
+
+    The lam < 1 kick evaluates Q every step on a stack of one shape.
+    Stack-sized temporaries made anew each step would be freed at the top
+    of the heap, given back to the system and faulted in again on the next
+    step, so the kernel keeps its own.  R is real, so one real transform
+    over the field axes serves them all:
+    Q = (hbar^2/2m) irfft(|k|^2 rfft R) / R where R is at or above its
+    field's `node_level`; a node point takes the value of the nearest
+    point that is not (`fill_nodes`), as in `quantum_potential_from_abs`.
+    """
+
+    def __init__(self, grid: Grid, params: PhysicalParams, rows: int):
+        shape = (rows,) + grid.shape
+        half = grid.npoints // 2 + 1
+        self.dim = grid.dim
+        self.axes = tuple(range(1, grid.dim + 1))
+        self.psi = np.empty(shape, complex)
+        self.R = np.empty(shape)
+        self.mask = np.empty(shape, bool)
+        self.valid = np.empty(shape, bool)
+        self.spec = np.empty(shape[:-1] + (half,), complex)
+        self.q = np.empty(shape)
+        # |k|^2 of the last axis's first n/2 + 1 wavenumbers, those the
+        # real transform keeps
+        self.ksq = (params.hbar ** 2 / (2.0 * params.m)) \
+            * grid.ksq()[..., :half]
+
+    def __call__(self, psi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Q of the fields psi[rows].  The result, and `mask`, their node
+        points, live in the kernel until its next call."""
+        R = np.abs(np.take(psi, rows, axis=0, mode="clip", out=self.psi),
+                   out=self.R)
+        mask = np.less(R, node_level(R, self.dim), out=self.mask)
+        spec = np.fft.rfftn(R, axes=self.axes, out=self.spec)
+        np.multiply(spec, self.ksq, out=spec)
+        q = np.fft.irfftn(spec, s=R.shape[1:], axes=self.axes, out=self.q)
+        # node points are divided by nothing: fill_nodes overwrites them
+        np.divide(q, R, out=q, where=np.logical_not(mask, out=self.valid))
+        return fill_nodes(mask, self.dim, q)[0]
+
+
 def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
     """Propagate the fields psi0s side by side, row i at weight lams[i],
     and return one trace per row.
@@ -221,40 +268,34 @@ def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
     q_prev = np.zeros(len(live))
     q_last = np.zeros(len(live))
 
-    # the kick's arrays persist while the stack keeps its rows; a row
-    # that aborts makes them anew
-    work = Workspace()
+    # the kick's arrays live while the stack keeps its shape, for the
+    # reason `_QKernel` keeps its own
+    factor = kernel = theta = kick = None
 
     def half_kick(cur_psi):
-        nonlocal q_prev, q_last
-        factor = work.array("factor", cur_psi.shape, complex,
-                            fill=lambda: half)
-        sub = lam < 1.0
-        if not sub.any():
+        nonlocal q_prev, q_last, factor, kernel, theta, kick
+        sub = np.flatnonzero(lam < 1.0)
+        if factor is None or factor.shape != cur_psi.shape:
+            factor = np.empty(cur_psi.shape, complex)
+            factor[...] = half
+            kernel = _QKernel(grid, params, len(sub))
+            theta = np.empty(kernel.R.shape)
+            kick = np.empty(kernel.R.shape, complex)
+        if not len(sub):
             return factor
-        R = np.abs(cur_psi, out=work.array("R", cur_psi.shape))
-        if not sub.all():
-            rows = np.flatnonzero(sub)
-            R = np.take(R, rows, axis=0, mode="clip", out=work.array(
-                "R.sub", (len(rows),) + R.shape[1:]))
-        q = quantum_potential_from_abs(R, grid, params, work=work)
+        q = kernel(cur_psi, sub)
         q_prev, q_last = q_last, q_last.copy()
-        q_last[sub] = np.abs(q, out=work.array("|q|", q.shape)).reshape(
-            len(q), -1).max(axis=1)
-        # v + (lam - 1) q, then exp(-0.5j * veff * dt / hbar), in the
-        # operand order of those expressions
-        veff = work.array("veff", q.shape)
-        np.copyto(veff, (lam[sub] - 1.0).reshape(field_shape))
-        np.multiply(veff, q, out=veff)
-        np.add(work.array("v", q.shape, fill=lambda: v), veff, out=veff)
-        kick = factor if sub.all() else work.array("kick", q.shape, complex)
-        np.copyto(kick, veff)
-        np.multiply(-0.5j, kick, out=kick)
-        np.multiply(kick, cfg.dt, out=kick)
-        np.divide(kick, params.hbar, out=kick)
-        np.exp(kick, out=kick)
-        if kick is not factor:
-            factor[sub] = kick
+        q_last[sub] = np.abs(q, out=theta).reshape(len(q), -1).max(axis=1)
+        # theta = ((-0.5 * veff) * dt) / hbar with veff = v + (lam - 1) q,
+        # and the kick factor exp(i theta) as cos theta + i sin theta
+        np.multiply((lam[sub] - 1.0).reshape(field_shape), q, out=theta)
+        np.add(v, theta, out=theta)
+        np.multiply(-0.5, theta, out=theta)
+        np.multiply(theta, cfg.dt, out=theta)
+        np.divide(theta, params.hbar, out=theta)
+        np.cos(theta, out=kick.real)
+        np.sin(theta, out=kick.imag)
+        factor[sub] = kick
         return factor
 
     def snap(i, cur_psi, cur_t, q):
@@ -276,11 +317,10 @@ def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
 
     for step, psi in enumerate(stepper, 1):
         rows = len(live)
-        finite = np.isfinite(psi.reshape(rows, -1).view(float), out=work.array(
-            "finite", (rows, 2 * psi[0].size), bool)).all(axis=1)
-        rho = np.abs(psi, out=work.array("rho", psi.shape))
-        norm = np.sqrt(np.sum(np.square(rho, out=rho).reshape(rows, -1),
-                              axis=1) * grid.cell_volume)
+        finite = np.isfinite(psi.reshape(rows, -1).view(float)).all(axis=1)
+        rho = np.square(np.abs(psi))
+        norm = np.sqrt(np.sum(rho.reshape(rows, -1), axis=1)
+                       * grid.cell_volume)
         drift = np.abs(norm - prev_norm)
         prev_norm = norm
         snapshot = step % cfg.snapshot_stride == 0

@@ -32,49 +32,6 @@ class FieldError(ValueError):
     pass
 
 
-class Workspace:
-    """Arrays kept from one call to the next, by name.
-
-    A loop that runs the same array code on a stack of one shape every
-    step (the lambda < 1 kick evaluates Q each step) hands one workspace
-    to every call, and the temporaries live in its arrays instead of
-    being allocated and freed each step: stack-sized blocks freed at the
-    top of the C heap are given back to the system and faulted in again
-    on the next step.  A result that lives in a workspace is overwritten
-    by the next call that uses the workspace.
-    """
-
-    def __init__(self):
-        self._arrays = {}
-
-    def array(self, name, shape, dtype=float, fill=None):
-        """The array kept under `name`.  It is made anew when it is missing
-        or has another shape or dtype, and then set to `fill()` (broadcast)
-        if `fill` is given; so `fill` runs only on a miss, and a name whose
-        fill depends on more than the shape carries that dependence (a
-        grid, an axis) in the name."""
-        a = self._arrays.get(name)
-        if a is None or a.shape != shape or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(shape, dtype)
-            if fill is not None:
-                a[...] = fill()
-        return a
-
-
-def _scratch(work, name, shape, dtype=float, fill=None):
-    """`work.array(...)`, or without a workspace a new array (or `fill()`
-    itself, left to broadcast).
-
-    A ufunc whose operand broadcasts across the rows of a stack runs
-    through buffers of up to 8192 elements that numpy allocates on every
-    call, so code that runs with a workspace broadcasts its constants into
-    kept arrays once.
-    """
-    if work is not None:
-        return work.array(name, shape, dtype, fill)
-    return np.empty(shape, dtype) if fill is None else fill()
-
-
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -308,13 +265,12 @@ def harmonic_ground_state(grid: Grid, omega: float = 1.0, m: float = 1.0,
 
 
 def differentiate(values: np.ndarray, grid: Grid, axis: int = 0, order: int = 1,
-                  scheme: str = "spectral", work: Workspace | None = None) -> np.ndarray:
+                  scheme: str = "spectral") -> np.ndarray:
     """Spatial derivative of a gridded field along one axis.
 
     `values` is one field or a stack of fields along leading axes; `axis`
     counts the grid's axes.  The spectral scheme is exact for band-limited
     fields; central_fd2 is a second-order finite-difference cross-check.
-    A spectral derivative taken with a `work` Workspace lives in it.
     """
     if order not in (1, 2):
         raise FieldError(f"derivative order must be 1 or 2, got {order}")
@@ -323,19 +279,10 @@ def differentiate(values: np.ndarray, grid: Grid, axis: int = 0, order: int = 1,
     values = np.asarray(values)
     array_axis = axis + values.ndim - grid.dim
     if scheme == "spectral":
-        def multiplier():
-            k = grid.wavenumbers(axis)
-            return 1j * k if order == 1 else -(k ** 2)
-
-        shape = values.shape
-        spec = np.fft.fft(values, axis=array_axis,
-                          out=_scratch(work, "d.spec", shape, complex))
-        np.multiply(spec, _scratch(work, ("d.k", grid, axis, order), shape,
-                                   complex, fill=multiplier),
-                    out=spec)
-        # into a second array: numpy copies an array transformed onto itself
-        out = np.fft.ifft(spec, axis=array_axis,
-                          out=_scratch(work, "d.out", shape, complex))
+        k = grid.wavenumbers(axis)
+        spec = np.fft.fft(values, axis=array_axis)
+        np.multiply(spec, 1j * k if order == 1 else -(k ** 2), out=spec)
+        out = np.fft.ifft(spec, axis=array_axis)
         return out if np.iscomplexobj(values) else out.real
     if scheme == "central_fd2":
         up = np.roll(values, -1, axis=array_axis)
@@ -346,16 +293,12 @@ def differentiate(values: np.ndarray, grid: Grid, axis: int = 0, order: int = 1,
     raise FieldError(f"unknown derivative scheme {scheme!r}")
 
 
-def laplacian(values: np.ndarray, grid: Grid, scheme: str = "spectral",
-              work: Workspace | None = None) -> np.ndarray:
-    """Sum of the second derivatives along the grid's axes; with a `work`
-    Workspace the result lives in it."""
-    out = _scratch(work, "lap", np.shape(values),
+def laplacian(values: np.ndarray, grid: Grid, scheme: str = "spectral") -> np.ndarray:
+    """Sum of the second derivatives along the grid's axes."""
+    out = np.zeros(np.shape(values),
                    complex if np.iscomplexobj(values) else float)
-    out[...] = 0.0
     for ax in range(grid.dim):
-        np.add(out, differentiate(values, grid, axis=ax, order=2,
-                                  scheme=scheme, work=work), out=out)
+        out += differentiate(values, grid, axis=ax, order=2, scheme=scheme)
     return out
 
 
@@ -370,14 +313,12 @@ def node_level(amplitude: np.ndarray, dim: int) -> np.ndarray:
     return 1e-6 * amplitude.max(axis=field_axes, keepdims=True)
 
 
-def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray,
-               work: Workspace | None = None) -> tuple:
+def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray) -> tuple:
     """Each of `values` with its entries where `mask` is True replaced by
     the nearest unmasked entry of the same field: the point
     distance_transform_edt names.  `mask` and `values` hold one field of
     `dim` axes or a stack of them along leading axes; a field with no
-    unmasked entry raises FieldError.  With a `work` Workspace the filled
-    values live in it.
+    unmasked entry raises FieldError.
 
     The source of each entry is found once, as a flat index into the
     stack, and each value is gathered with one `take`.  Along one axis the
@@ -395,24 +336,13 @@ def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray,
         # flat indices into the stack; -big and big stand for "no unmasked
         # entry on this side of the row" and lose every comparison
         big = 4 * mask.size
-        i = _scratch(work, "fill.i", mask.shape, np.intp,
-                     fill=lambda: np.arange(mask.size).reshape(mask.shape))
-        left = _scratch(work, "fill.left", mask.shape, np.intp)
-        np.copyto(left, i)
-        np.copyto(left, -big, where=mask)
-        np.maximum.accumulate(left, axis=-1, out=left)
-        right = _scratch(work, "fill.right", mask.shape, np.intp)
-        np.copyto(right, i)
-        np.copyto(right, big, where=mask)
+        i = np.arange(mask.size).reshape(mask.shape)
+        left = np.maximum.accumulate(np.where(mask, -big, i), axis=-1)
+        right = np.where(mask, big, i)
         rev = right[..., ::-1]
         np.minimum.accumulate(rev, axis=-1, out=rev)
-        # left wins when i - left <= right - i, that is i <= left + right - i
-        reach = np.add(left, right, out=_scratch(work, "fill.reach",
-                                                 mask.shape, np.intp))
-        np.subtract(reach, i, out=reach)
-        np.copyto(right, left, where=np.less_equal(
-            i, reach, out=_scratch(work, "fill.tie", mask.shape, bool)))
-        src = right
+        # left wins when i - left <= right - i
+        src = np.where(i <= left + right - i, left, right)
     else:
         from scipy import ndimage
 
@@ -424,10 +354,7 @@ def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray,
             src += fields[0].size * np.arange(len(fields)).reshape(
                 (-1,) + (1,) * dim)
         src = src.reshape(mask.shape)
-    return tuple(np.take(v, src, mode="clip",
-                         out=_scratch(work, ("fill.out", k), mask.shape,
-                                      v.dtype))
-                 for k, v in enumerate(values))
+    return tuple(np.take(v, src) for v in values)
 
 
 def _unwrap_phase(raw: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
@@ -509,32 +436,26 @@ def polar_compose(polar: PolarField) -> Wavefunction:
 
 
 def quantum_potential_from_abs(R: np.ndarray, grid: Grid, params: PhysicalParams,
-                               eps_node: float | None = None,
-                               work: Workspace | None = None) -> np.ndarray:
+                               eps_node: float | None = None) -> np.ndarray:
     """Quantum potential -(hbar^2/2m) * lap(R)/R from an amplitude field.
 
     R is one field or a stack of fields along leading axes; by default
     each field's node threshold is 1e-6 of its own maximum.  At near-node
     points the value is clamped to the nearest unmasked point of the same
     field; the dynamics keeps equilibrium densities ~R^2 there, so the
-    clamp affects a vanishing fraction of probability mass.  With a `work`
-    Workspace the result lives in it.
+    clamp affects a vanishing fraction of probability mass.
     """
     if eps_node is None:
         eps_node = node_level(R, grid.dim)
-    level = _scratch(work, "q.level", R.shape)
-    np.copyto(level, eps_node)
-    mask = np.less(R, level, out=_scratch(work, "q.mask", R.shape, bool))
-    return _quantum_potential_masked(R, mask, grid, params, work)
+    return _quantum_potential_masked(R, R < eps_node, grid, params)
 
 
-def _quantum_potential_masked(R, mask, grid, params, work=None) -> np.ndarray:
-    q = laplacian(R, grid, work=work)
+def _quantum_potential_masked(R, mask, grid, params) -> np.ndarray:
+    q = laplacian(R, grid)
     np.multiply(-(params.hbar ** 2 / (2.0 * params.m)), q, out=q)
     # node points are divided by nothing: fill_nodes overwrites them
-    np.divide(q, R, out=q, where=np.logical_not(
-        mask, out=_scratch(work, "q.valid", R.shape, bool)))
-    return fill_nodes(mask, grid.dim, q, work=work)[0]
+    np.divide(q, R, out=q, where=~mask)
+    return fill_nodes(mask, grid.dim, q)[0]
 
 
 def quantum_potential(polar: PolarField, params: PhysicalParams) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from sllab.dynamics import (
     EvolutionAbort,
     EvolutionConfig,
+    _QKernel,
     _split_step,
     density_width,
     energy_expectation,
@@ -20,6 +21,7 @@ from sllab.grid_field import (
     gaussian_packet,
     harmonic_ground_state,
     make_grid,
+    node_level,
     polar_decompose,
     quantum_potential_from_abs,
 )
@@ -314,6 +316,37 @@ class TestKernel:
         assert all(a is yielded[0] for a in yielded)
         assert yielded[0] is not psi
         assert psi.tobytes() == before.tobytes()
+
+
+class TestQKernel:
+    @staticmethod
+    def _stack(g, shift):
+        # a plain packet, one with a node at its centre, a moving pair
+        # whose fringes have nodes, and a packet far below the others;
+        # every field's tails lie below its node level
+        x = g.meshgrid()[0]
+        one = gaussian_packet(g, center=shift, rho_width=0.8).values
+        pair = gaussian_packet(g, center=shift - 2.0, momentum=2.0).values \
+            + gaussian_packet(g, center=shift + 2.0, momentum=-2.0).values
+        return np.stack([one, (x - shift) * one, pair, 1e-3 * np.roll(one, 3)])
+
+    @pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 3], [0, 2, 3]],
+                             ids=["lam_lt1", "mixed"])
+    def test_matches_reference(self, dim, n, rows):
+        # one kernel, called on two stacks, against the complex-transform
+        # Q of each; in "mixed" row 1 stands for a lam = 1 row it skips
+        g = make_grid(dim, 20.0, n)
+        kernel = _QKernel(g, QUANTUM, len(rows))
+        for shift in (0.0, 1.3):
+            psi = self._stack(g, shift)
+            R = np.abs(psi[rows])
+            want = quantum_potential_from_abs(R, g, QUANTUM)
+            got = kernel(psi, np.array(rows))
+            mask = R < node_level(R, dim)
+            assert 0 < mask.sum() < mask.size
+            assert np.array_equal(kernel.mask, mask)
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
 
 class TestDiagnostics:

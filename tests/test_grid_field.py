@@ -23,7 +23,6 @@ from sllab.grid_field import (
     quantum_potential,
     quantum_potential_from_abs,
     fill_nodes,
-    Workspace,
     _unwrap_phase,
 )
 from oracles import gaussian_quantum_potential
@@ -512,33 +511,3 @@ class TestQuantumPotential:
         for field, q in zip(stack, got):
             assert q.tobytes() == \
                 quantum_potential_from_abs(field, g, params).tobytes()
-
-    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
-    def test_workspace_gives_fresh_bytes(self, dim, n):
-        # a workspace reused across calls, and across a change of stack
-        # height, gives the bytes of a call without one
-        g = make_grid(dim, 20.0, n)
-        params = PhysicalParams.quantum()
-        work = Workspace()
-        for rows, shift in ((3, 0.0), (3, 1.0), (2, 2.0), (3, -1.0)):
-            stack = np.stack([
-                np.abs(gaussian_packet(g, center=shift + r, rho_width=0.8
-                                       ).values) for r in range(rows)])
-            stack[0].flat[::5] = 0.0
-            got = quantum_potential_from_abs(stack, g, params, work=work)
-            assert got.tobytes() == \
-                quantum_potential_from_abs(stack, g, params).tobytes()
-
-    def test_workspace_fills_only_a_new_array(self):
-        work = Workspace()
-        calls = []
-
-        def fill():
-            calls.append(1)
-            return np.arange(4.0)
-
-        a = work.array("a", (2, 4), fill=fill)
-        assert work.array("a", (2, 4), fill=fill) is a
-        assert len(calls) == 1 and a.tolist() == [[0, 1, 2, 3]] * 2
-        assert work.array("a", (3, 4), fill=fill).shape == (3, 4)
-        assert len(calls) == 2
