@@ -20,7 +20,9 @@ kick factor is exponentiated once per run.  The lam < 1 kick owns its Q
 kernel (`_QKernel`): one real transform of R over the field axes, the
 |k|^2 multiply on the half spectrum, one inverse real transform, the
 division by R and the node fill, on arrays kept while the stack keeps
-its shape.  The stepper advances a stack of fields at once, each with
+its shape.  The fill's source map is kept while the node mask holds
+still, which it does on most steps, and found again only when the mask
+changes.  The stepper advances a stack of fields at once, each with
 its own lam; `lambda_sweep` runs all its fields in one stack, and each
 row gives the bytes a separate `evolve` call gives.
 """
@@ -39,9 +41,9 @@ from .grid_field import (
     PotentialSpec,
     Wavefunction,
     differentiate,
-    fill_nodes,
     laplacian,
     node_level,
+    node_sources,
 )
 
 
@@ -204,7 +206,10 @@ class _QKernel:
     over the field axes serves them all:
     Q = (hbar^2/2m) irfft(|k|^2 rfft R) / R where R is at or above its
     field's `node_level`; a node point takes the value of the nearest
-    point that is not (`fill_nodes`), as in `quantum_potential_from_abs`.
+    point that is not, as in `quantum_potential_from_abs`.  The node mask
+    seldom changes from one step to the next, so the kernel keeps the
+    fill's source map (`node_sources`) with the mask it was found for,
+    finds it again only when the mask differs, and fills with one `take`.
     """
 
     def __init__(self, grid: Grid, params: PhysicalParams, rows: int):
@@ -218,6 +223,11 @@ class _QKernel:
         self.valid = np.empty(shape, bool)
         self.spec = np.empty(shape[:-1] + (half,), complex)
         self.q = np.empty(shape)
+        self.filled = np.empty(shape)
+        # the fill's source map and the mask it was found for: an empty
+        # mask needs none
+        self.src = None
+        self.src_mask = np.zeros(shape, bool)
         # |k|^2 of the last axis's first n/2 + 1 wavenumbers, those the
         # real transform keeps
         self.ksq = (params.hbar ** 2 / (2.0 * params.m)) \
@@ -229,12 +239,19 @@ class _QKernel:
         R = np.abs(np.take(psi, rows, axis=0, mode="clip", out=self.psi),
                    out=self.R)
         mask = np.less(R, node_level(R, self.dim), out=self.mask)
+        if not np.array_equal(mask, self.src_mask):
+            self.src = node_sources(mask, self.dim)
+            np.copyto(self.src_mask, mask)
         spec = np.fft.rfftn(R, axes=self.axes, out=self.spec)
         np.multiply(spec, self.ksq, out=spec)
         q = np.fft.irfftn(spec, s=R.shape[1:], axes=self.axes, out=self.q)
-        # node points are divided by nothing: fill_nodes overwrites them
+        # node points are divided by nothing: the fill overwrites them
         np.divide(q, R, out=q, where=np.logical_not(mask, out=self.valid))
-        return fill_nodes(mask, self.dim, q)[0]
+        if self.src is None:
+            return q
+        # every source is in range; "clip" writes straight into `filled`
+        # where the default mode would buffer the result
+        return np.take(q, self.src, mode="clip", out=self.filled)
 
 
 def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:

@@ -8,7 +8,10 @@ lets every spatial derivative be spectral.
 One node policy serves the phase, the quantum potential and the
 trajectory velocities: a point whose |psi| is below 1e-6 of its field's
 maximum (`node_level`) is a node, and a quantity there takes its value
-at the nearest point that is not (`fill_nodes`).
+at the nearest point that is not.  Finding those points and applying
+them are separate steps: `node_sources` maps every point to the point it
+takes its value from, and `fill_nodes` gathers values through that map,
+so a caller whose mask holds still over many fields can keep the map.
 """
 
 from __future__ import annotations
@@ -177,7 +180,11 @@ class PotentialSpec:
         if self.kind == "free":
             v = np.zeros(grid.shape)
         elif self.kind == "harmonic":
-            v = 0.5 * self.params["m"] * self.params["omega"] ** 2 * rsq
+            try:
+                v = 0.5 * self.params["m"] * self.params["omega"] ** 2 * rsq
+            except OverflowError:
+                # a Python float's ** raises past the largest float
+                v = np.full(grid.shape, np.inf)
         elif self.kind == "custom":
             v = np.asarray(self.params["fn"](*coords), dtype=float)
             if v.shape != grid.shape:
@@ -313,21 +320,21 @@ def node_level(amplitude: np.ndarray, dim: int) -> np.ndarray:
     return 1e-6 * amplitude.max(axis=field_axes, keepdims=True)
 
 
-def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray) -> tuple:
-    """Each of `values` with its entries where `mask` is True replaced by
-    the nearest unmasked entry of the same field: the point
-    distance_transform_edt names.  `mask` and `values` hold one field of
-    `dim` axes or a stack of them along leading axes; a field with no
-    unmasked entry raises FieldError.
+def node_sources(mask: np.ndarray, dim: int) -> np.ndarray | None:
+    """The flat index, into the stack, of the entry each entry of `mask`
+    takes its value from: itself where `mask` is False, else the nearest
+    entry of the same field where it is not, the point
+    distance_transform_edt names.  None when nothing is masked.  `mask`
+    holds one field of `dim` axes or a stack of them along leading axes; a
+    field with no unmasked entry raises FieldError.
 
-    The source of each entry is found once, as a flat index into the
-    stack, and each value is gathered with one `take`.  Along one axis the
-    nearest unmasked index is the running maximum of unmasked indices from
-    the left or the running minimum from the right, ties to the left: the
-    indices of the EDT, at less cost.  A 2-D field runs one EDT.
+    Along one axis the nearest unmasked index is the running maximum of
+    unmasked indices from the left or the running minimum from the right,
+    ties to the left: the indices of the EDT, at less cost.  A 2-D field
+    runs one EDT.
     """
     if not mask.any():
-        return values
+        return None
     shape = mask.shape[mask.ndim - dim:]
     fields = mask.reshape((-1,) + shape)
     if fields.reshape(len(fields), -1).all(axis=1).any():
@@ -354,6 +361,16 @@ def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray) -> tuple:
             src += fields[0].size * np.arange(len(fields)).reshape(
                 (-1,) + (1,) * dim)
         src = src.reshape(mask.shape)
+    return src
+
+
+def fill_nodes(mask: np.ndarray, dim: int, *values: np.ndarray) -> tuple:
+    """Each of `values` with its entries where `mask` is True replaced by
+    the nearest unmasked entry of the same field, gathered with one `take`
+    from the sources `node_sources` finds once for all of them."""
+    src = node_sources(mask, dim)
+    if src is None:
+        return values
     return tuple(np.take(v, src) for v in values)
 
 

@@ -102,6 +102,16 @@ def gaussian_quantum_potential(x: np.ndarray, s0: float = 1.0, m: float = 1.0,
                                       - x ** 2 / (4.0 * s0 ** 4))
 
 
+def ou_euler_law(omega: float, dt: float, nu: float):
+    """Stationary variance and lag-1 correlation of the Euler-Maruyama
+    chain of an Ornstein-Uhlenbeck process, q' = (1 - omega dt) q +
+    sqrt(2 nu dt) xi: an AR(1) chain, whose variance
+    2 nu dt / (1 - (1 - omega dt)^2) = 2 nu / (omega (2 - omega dt))
+    exceeds the continuous process's nu / omega."""
+    a = 1.0 - omega * dt
+    return 2.0 * nu * dt / (1.0 - a * a), a
+
+
 def two_evaluation_lambda_evolve(psi0: np.ndarray, length: float,
                                  v: np.ndarray, dt: float, steps: int,
                                  lam: float, quantum_potential,

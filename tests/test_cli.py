@@ -200,6 +200,8 @@ MALFORMED = [
     ("zero_seeds", _doc("equivariance", 0, n_seeds=0), True),
     ("n_string", _doc("free_packet", n="512"), True),
     ("n_not_power_of_two", _doc("free_packet", n=100), False),
+    # omega ** 2 overflows a Python float
+    ("omega_squared_overflows", _doc("eigenstate_hold", omega=1e200), False),
     ("n_bool", _doc("free_packet", n=True), True),
     ("dt_over_kinetic_bound", _doc("free_packet", dt=0.5), False),
     ("t_final_nan", _doc("free_packet", t_final=math.nan), True),

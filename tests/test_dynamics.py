@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sllab import dynamics
 from sllab.dynamics import (
     EvolutionAbort,
     EvolutionConfig,
@@ -15,6 +16,7 @@ from sllab.dynamics import (
     lambda_sweep,
 )
 from sllab.grid_field import (
+    FieldError,
     PhysicalParams,
     PotentialSpec,
     Wavefunction,
@@ -22,6 +24,7 @@ from sllab.grid_field import (
     harmonic_ground_state,
     make_grid,
     node_level,
+    node_sources,
     polar_decompose,
     quantum_potential_from_abs,
 )
@@ -347,6 +350,72 @@ class TestQKernel:
             assert 0 < mask.sum() < mask.size
             assert np.array_equal(kernel.mask, mask)
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+    @classmethod
+    def _sequence(cls, g):
+        # stacks whose node masks go A, A, A, B, B, A: a phase ramp and a
+        # scale change |psi| only by rounding, so each stack's values
+        # differ while its mask holds
+        x = g.meshgrid()[0]
+        stacks = [cls._stack(g, shift) * scale * np.exp(1j * k * x)
+                  for shift, scale, k in [(0.0, 1.0, 0.0), (0.0, 0.7, 0.4),
+                                          (0.0, 1.9, -1.1), (1.3, 1.0, 0.0),
+                                          (1.3, 0.6, 0.3), (0.0, 1.3, 0.8)]]
+        masks = [np.abs(p) < node_level(np.abs(p), g.dim) for p in stacks]
+        assert all(np.array_equal(masks[0], masks[i]) for i in (1, 2, 5))
+        assert np.array_equal(masks[3], masks[4])
+        assert not np.array_equal(masks[0], masks[3])
+        return stacks
+
+    @pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+    def test_kept_fill_map_matches_fresh_kernel(self, dim, n):
+        g = make_grid(dim, 20.0, n)
+        rows = np.array([0, 2, 3])
+        kernel = _QKernel(g, QUANTUM, len(rows))
+        for psi in self._sequence(g):
+            got = kernel(psi, rows)
+            want = _QKernel(g, QUANTUM, len(rows))(psi, rows)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+    def test_fill_map_found_once_per_mask_change(self, dim, n, monkeypatch):
+        found = []
+        real = dynamics.node_sources
+
+        def counted(mask, dim):
+            found.append(mask.copy())
+            return real(mask, dim)
+
+        monkeypatch.setattr(dynamics, "node_sources", counted)
+        g = make_grid(dim, 20.0, n)
+        kernel = _QKernel(g, QUANTUM, 4)
+        for psi in self._sequence(g):
+            kernel(psi, np.arange(4))
+        # the first call, the change to B and the return to A
+        assert len(found) == 3
+        assert np.array_equal(found[0], found[2])
+
+    @pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+    def test_changed_mask_of_a_whole_row_raises(self, dim, n, monkeypatch):
+        g = make_grid(dim, 20.0, n)
+        psi = self._stack(g, 0.0)
+        kernel = _QKernel(g, QUANTUM, 4)
+        kernel(psi, np.arange(4))
+        real = dynamics.node_level
+
+        def above_row_1(R, dim):
+            level = real(R, dim)
+            level[1] = np.inf
+            return level
+
+        monkeypatch.setattr(dynamics, "node_level", above_row_1)
+        with pytest.raises(FieldError, match="masked everywhere"):
+            kernel(psi, np.arange(4))
+
+    @pytest.mark.parametrize("shape,dim", [((16,), 1), ((3, 16), 1),
+                                           ((16, 16), 2), ((2, 16, 16), 2)])
+    def test_no_node_needs_no_map(self, shape, dim):
+        assert node_sources(np.zeros(shape, bool), dim) is None
 
 
 class TestDiagnostics:

@@ -118,6 +118,12 @@ class TestPotentials:
         with pytest.raises(FieldError):
             PotentialSpec.custom(lambda x: 1.0 / x).evaluate(g)  # hits x=0
 
+    @pytest.mark.parametrize("omega", [1e200, -1e200, 1e308])
+    def test_harmonic_omega_squared_overflow_rejected(self, omega):
+        g = make_grid(1, 10.0, 64)
+        with pytest.raises(FieldError, match="non-finite"):
+            PotentialSpec.harmonic(omega=omega).evaluate(g)
+
 
 class TestStates:
     def test_packet_density_width(self):

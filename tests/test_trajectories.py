@@ -26,7 +26,7 @@ from sllab.trajectories import (
     transport,
     velocity_field,
 )
-from oracles import free_gaussian_bohm_path
+from oracles import free_gaussian_bohm_path, ou_euler_law
 from test_bit_identity import _ensemble_digest, _node_state
 
 QUANTUM = PhysicalParams.quantum()
@@ -211,6 +211,24 @@ class TestNelson:
                                    drift_override="zero")
         assert np.std(control.final_positions()) > \
             1.5 * np.std(drifted.final_positions())
+
+    def test_harmonic_chain_follows_its_ar1_law(self):
+        # in the harmonic ground state the forward drift is -omega q, so
+        # the Euler-Maruyama chain is AR(1) with a known stationary law;
+        # at omega dt = 0.2 its variance sits many sigma from Born's 0.5
+        omega, dt, n = 1.0, 0.2, 40_000
+        psi = harmonic_ground_state(make_grid(1, 20.0, 256), omega=omega)
+        x0 = np.random.default_rng(5).normal(0.0, np.sqrt(0.5), (n, 1))
+        ens = integrate_nelson(static_trace(psi), x0, dt, QUANTUM, 17,
+                               steps=400, keep=[-2, -1])
+        before, last = ens.positions[:, 0, 0], ens.positions[:, 1, 0]
+        var, rho = ou_euler_law(omega, dt, QUANTUM.nu)
+        var_sigma = var * np.sqrt(2.0 / (n - 1))
+        assert abs(last.mean()) < 5.0 * np.sqrt(var / n)
+        assert abs(last.var(ddof=1) - var) < 5.0 * var_sigma
+        assert abs(last.var(ddof=1) - QUANTUM.nu / omega) > 5.0 * var_sigma
+        r = np.corrcoef(before, last)[0, 1]
+        assert abs(r - rho) < 5.0 * (1.0 - rho ** 2) / np.sqrt(n)
 
     def test_config_validation(self):
         # a seed that is not an int in [0, 2**64) used to run as int(seed)
