@@ -35,7 +35,7 @@ class NoSignallingReport:
         return self.max_violation <= tol
 
 
-def check_no_signalling(model: EmpiricalModel, tol: float = 1e-9) -> NoSignallingReport:
+def check_no_signalling(model: EmpiricalModel) -> NoSignallingReport:
     """Compare marginals of every context pair on their shared observables."""
     worst = 0.0
     witness = None
@@ -172,7 +172,6 @@ def _normalize_certificate(ray, events, hits, p):
 @dataclass
 class ContextualFractionResult:
     fraction: object
-    noncontextual_weight: object
     dual_gap: float
     subnormalized_weights: list
     lp: dict                           # see _lp_record
@@ -205,7 +204,6 @@ def contextual_fraction(model: EmpiricalModel) -> ContextualFractionResult:
         dec = DecompositionResult(feasible=False, certificate=cert, lp=lp)
     return ContextualFractionResult(
         fraction=1 - weight,
-        noncontextual_weight=weight,
         dual_gap=abs(float(dual_obj) - float(weight)),
         subnormalized_weights=weights,
         lp=lp,

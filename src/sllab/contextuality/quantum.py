@@ -25,9 +25,9 @@ def _qubit_projectors(theta: float):
     return {+1: np.outer(plus, plus), -1: np.outer(minus, minus)}
 
 
-def quantum_model_from_state(state, settings=TSIRELSON_SETTINGS,
-                             labels=("a0", "a1", "b0", "b1")) -> EmpiricalModel:
-    """Empirical model of a two-qubit state under projective measurements.
+def quantum_model_from_state(state, settings=TSIRELSON_SETTINGS) -> EmpiricalModel:
+    """Empirical model of a two-qubit state under projective measurements
+    of the observables a0, a1 (first qubit) and b0, b1 (second qubit).
 
     state: length-4 complex vector in the |00>,|01>,|10>,|11> basis.
     settings: ((theta_a0, theta_a1), (theta_b0, theta_b1)) angles.
@@ -38,11 +38,9 @@ def quantum_model_from_state(state, settings=TSIRELSON_SETTINGS,
         raise ValueError(f"state norm^2 is {norm}, expected 1")
 
     (ta0, ta1), (tb0, tb1) = settings
-    angle = {labels[0]: ta0, labels[1]: ta1, labels[2]: tb0, labels[3]: tb1}
-    alice = labels[:2]
-    bob = labels[2:]
-    observables = {name: (+1, -1) for name in labels}
-    contexts = tuple((a, b) for a in alice for b in bob)
+    angle = {"a0": ta0, "a1": ta1, "b0": tb0, "b1": tb1}
+    observables = {name: (+1, -1) for name in angle}
+    contexts = tuple((a, b) for a in ("a0", "a1") for b in ("b0", "b1"))
     scenario = Scenario(observables=observables, contexts=contexts)
 
     tables = {}

@@ -72,7 +72,6 @@ class EmpiricalModel:
 
     scenario: Scenario
     tables: dict  # context tuple -> {outcome tuple: probability}
-    tol: float = NORM_TOL
 
     def __post_init__(self):
         tables = {}
@@ -86,7 +85,7 @@ class EmpiricalModel:
                     raise ScenarioError(f"non-finite probability {p} in {ctx}")
                 # an exact entry must be >= 0 whatever the tolerance: the
                 # exact LP starts from its slack basis, which needs p >= 0
-                if p < 0 and (p < -self.tol or isinstance(p, Rational)):
+                if p < 0 and (p < -NORM_TOL or isinstance(p, Rational)):
                     raise ScenarioError(f"negative probability {p} in {ctx}")
                 out = tuple(out)
                 if len(out) != len(ctx) or any(
@@ -95,7 +94,7 @@ class EmpiricalModel:
                     raise ScenarioError(f"outcome {out} invalid for context {ctx}")
             # an exact table must sum to exactly 1: the LP's decomposition
             # and certificate rely on it
-            if abs(float(total) - 1.0) > self.tol or (
+            if abs(float(total) - 1.0) > NORM_TOL or (
                     isinstance(total, Rational) and total != 1):
                 raise ScenarioError(f"table for {ctx} sums to {total}")
             tables[ctx] = {tuple(k): v for k, v in table.items()}

@@ -392,11 +392,11 @@ def evolve(psi0: Wavefunction, cfg: EvolutionConfig) -> EvolutionTrace:
     return trace
 
 
-def density_width(psi: Wavefunction, axis: int = 0) -> float:
-    """Rms width of |psi|^2 about its mean along one axis."""
+def density_width(psi: Wavefunction) -> float:
+    """Rms width of |psi|^2 about its mean along the first axis."""
     grid = psi.grid
     rho = psi.density()
-    x = grid.meshgrid()[axis]
+    x = grid.meshgrid()[0]
     w = rho * grid.cell_volume
     mean = float(np.sum(x * w))
     return float(np.sqrt(np.sum((x - mean) ** 2 * w)))

@@ -1,5 +1,12 @@
 """Ensemble statistics: sampling, equilibrium tests and the
-coarse-grained relaxation functional."""
+coarse-grained relaxation functional.
+
+A gridded density is read as cells centred on the grid points: cell j
+spans [x_j - dx/2, x_j + dx/2) and carries rho_j * dx of mass.  Sampling
+draws from those cells, and a density's mass in a histogram bin is read
+off the piecewise-linear CDF of the same cells (`_bin_masses`), so that
+samples and their target are binned alike.
+"""
 
 from __future__ import annotations
 
@@ -25,15 +32,13 @@ class EquilibriumReport:
 
 def sample_density(rho_on_grid: np.ndarray, grid: Grid, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. positions from a gridded density (inverse CDF over
-    cells, uniform jitter within each cell).  Reproducible from seed."""
+    the cells centred on the grid points, uniform jitter within each
+    cell).  The density need not be normalized.  Reproducible from seed."""
     rho = np.asarray(rho_on_grid, dtype=float)
     if np.any(rho < -1e-12):
         raise ValueError("density has negative entries")
     rho = np.clip(rho, 0.0, None)
     weights = rho.ravel() * grid.cell_volume
-    total = weights.sum()
-    if not np.isclose(total, 1.0, atol=1e-6):
-        weights = weights / total
     if n == 0:
         return np.empty((0, grid.dim))
 
@@ -47,13 +52,13 @@ def sample_density(rho_on_grid: np.ndarray, grid: Grid, n: int, seed: int) -> np
     return -0.5 * grid.length + (coords + jitter) * grid.dx
 
 
-def _merge_low_bins(observed: np.ndarray, expected: np.ndarray, min_expected=5.0):
-    """Greedily merge adjacent bins until every expected count >= min_expected."""
+def _merge_low_bins(observed: np.ndarray, expected: np.ndarray):
+    """Greedily merge adjacent bins until every expected count >= 5."""
     obs = list(observed.astype(float))
     exp = list(expected.astype(float))
     i = 0
     while i < len(exp):
-        if exp[i] >= min_expected or len(exp) == 1:
+        if exp[i] >= 5.0 or len(exp) == 1:
             i += 1
             continue
         j = i + 1 if i + 1 < len(exp) else i - 1
@@ -72,6 +77,19 @@ def _chi2_sf(x: float, dof: int) -> float:
     return float(chdtrc(dof, x))
 
 
+def _bin_masses(rho: np.ndarray, grid: Grid, edges: np.ndarray) -> np.ndarray:
+    """The share of a gridded 1-D density's mass between each pair of
+    consecutive `edges`, from the piecewise-linear CDF of its cells; cell
+    j spans [x_j - dx/2, x_j + dx/2)."""
+    lo = -0.5 * grid.length
+    cum = np.concatenate([[0.0], np.cumsum(rho.ravel() * grid.cell_volume)])
+    cum = cum / cum[-1]
+    frac = (np.asarray(edges) - lo) / grid.dx + 0.5
+    idx = np.clip(np.floor(frac).astype(int), 0, grid.npoints - 1)
+    w = np.clip(frac - idx, 0.0, 1.0)
+    return np.diff(cum[idx] + w * (cum[idx + 1] - cum[idx]))
+
+
 def chi2_against_target(positions_1d: np.ndarray, target_rho: np.ndarray,
                         grid: Grid, bins: int) -> EquilibriumReport:
     """Chi-square goodness of fit of samples against a gridded target
@@ -79,20 +97,7 @@ def chi2_against_target(positions_1d: np.ndarray, target_rho: np.ndarray,
     lo, hi = -0.5 * grid.length, 0.5 * grid.length
     counts, edges = np.histogram(positions_1d, bins=bins, range=(lo, hi))
     n = len(positions_1d)
-
-    cellw = target_rho.ravel() * grid.cell_volume
-    cum = np.concatenate([[0.0], np.cumsum(cellw)])
-    cum = cum / cum[-1]
-
-    def cdf(x):
-        # cells are centered on grid points, so cell j spans
-        # [x_j - dx/2, x_j + dx/2)
-        frac = (np.asarray(x) - lo) / grid.dx + 0.5
-        idx = np.clip(np.floor(frac).astype(int), 0, grid.npoints - 1)
-        w = np.clip(frac - idx, 0.0, 1.0)
-        return cum[idx] + w * (cum[idx + 1] - cum[idx])
-
-    expected = n * np.diff(cdf(edges))
+    expected = n * _bin_masses(target_rho, grid, edges)
     obs, exp = _merge_low_bins(counts, expected)
     dof = len(exp) - 1
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
@@ -106,35 +111,27 @@ def chi2_against_target(positions_1d: np.ndarray, target_rho: np.ndarray,
 
 
 def equivariance_test(traj_ensemble: TrajectoryEnsemble, target_rho: np.ndarray,
-                      grid: Grid, t_index: int, bins: int,
-                      axis: int = 0) -> EquilibriumReport:
-    """Test whether the time-t empirical density matches a target density."""
+                      grid: Grid, t_index: int, bins: int) -> EquilibriumReport:
+    """Test whether the time-t empirical density matches a target density
+    along the first axis (its marginal there, in 2D)."""
     if traj_ensemble.n_trajectories < 1000:
         raise ValueError("equivariance test needs at least 1000 trajectories")
-    pos = traj_ensemble.at_time_index(t_index)[:, axis]
+    pos = traj_ensemble.at_time_index(t_index)[:, 0]
     if grid.dim == 2:
-        target_rho = target_rho.sum(axis=1 - axis) * grid.dx
+        target_rho = target_rho.sum(axis=1) * grid.dx
     return chi2_against_target(pos, target_rho, grid, bins)
 
 
 def coarse_grained_h(positions_1d: np.ndarray, psi_density: np.ndarray,
                      grid: Grid, coarse_bins: int) -> float:
     """Relative-entropy functional sum_i P_i ln(P_i / Q_i) over coarse bins,
-    where P is the empirical bin mass and Q the wave density bin mass.
+    where P is the empirical bin mass and Q the wave density's bin mass,
+    read as `chi2_against_target` reads it and normalized over the bins.
     Nonnegative by the Gibbs inequality."""
     lo, hi = -0.5 * grid.length, 0.5 * grid.length
     counts, edges = np.histogram(positions_1d, bins=coarse_bins, range=(lo, hi))
     p = counts / counts.sum()
-
-    cellw = psi_density.ravel() * grid.cell_volume
-    cells_per_bin = grid.npoints // coarse_bins
-    if cells_per_bin * coarse_bins == grid.npoints:
-        q = cellw.reshape(coarse_bins, cells_per_bin).sum(axis=1)
-    else:
-        centers = grid.axis_coords + 0.5 * grid.dx
-        idx = np.clip(((centers - lo) / (hi - lo) * coarse_bins).astype(int),
-                      0, coarse_bins - 1)
-        q = np.bincount(idx, weights=cellw, minlength=coarse_bins)
+    q = _bin_masses(psi_density, grid, edges)
     q = q / q.sum()
 
     live = p > 0
@@ -151,16 +148,15 @@ def nearest_time_indices(times: np.ndarray, frame_times) -> list:
 
 
 def relaxation_h_series(traj_ensemble: TrajectoryEnsemble, psi_frames,
-                        frame_times, grid: Grid, coarse_bins: int,
-                        axis: int = 0):
-    """H(t) for each supplied frame time; frames are (time, density) pairs
-    matched to the nearest trajectory time index."""
+                        frame_times, grid: Grid, coarse_bins: int):
+    """H(t) along the first axis for each supplied frame time; frames are
+    (time, density) pairs matched to the nearest trajectory time index."""
     series = []
     indices = nearest_time_indices(traj_ensemble.times, frame_times)
     for t, rho, idx in zip(frame_times, psi_frames, indices):
-        pos = traj_ensemble.at_time_index(idx)[:, axis]
+        pos = traj_ensemble.at_time_index(idx)[:, 0]
         if grid.dim == 2:
-            rho = rho.sum(axis=1 - axis) * grid.dx
+            rho = rho.sum(axis=1) * grid.dx
         h = coarse_grained_h(pos, rho, grid, coarse_bins)
         if h < -1e-9:
             raise AssertionError(f"relative entropy went negative: {h}")

@@ -2,13 +2,13 @@
 quantum potential.
 
 All quantities are in dimensionless simulation units (hbar, m, omega of
-order 1 by default). Grids are periodic on [-L/2, L/2) per axis, which
-lets every spatial derivative be spectral.
+order 1 by default). Grids are periodic on [-L/2, L/2) per axis, and
+every spatial derivative is spectral.
 
-One node policy serves the phase, the quantum potential and the
-trajectory velocities: a point whose |psi| is below 1e-6 of its field's
-maximum (`node_level`) is a node, and a quantity there takes its value
-at the nearest point that is not.  Finding those points and applying
+One node policy, with one level, serves the phase, the quantum potential
+and the trajectory velocities: a point whose |psi| is below 1e-6 of its
+field's maximum (`node_level`) is a node, and a quantity there takes its
+value at the nearest point that is not.  Finding those points and applying
 them are separate steps: `node_sources` maps every point to the point it
 takes its value from, and `fill_nodes` gathers values through that map,
 so a caller whose mask holds still over many fields can keep the map.
@@ -17,7 +17,6 @@ so a caller whose mask holds still over many fields can keep the map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 # numpy >= 2 imports numpy.fft on the first `np.fft` lookup; importing it
@@ -170,10 +169,6 @@ class PotentialSpec:
     def harmonic(cls, omega: float = 1.0, m: float = 1.0) -> "PotentialSpec":
         return cls("harmonic", {"omega": omega, "m": m})
 
-    @classmethod
-    def custom(cls, fn: Callable) -> "PotentialSpec":
-        return cls("custom", {"fn": fn})
-
     def evaluate(self, grid: Grid) -> np.ndarray:
         coords = grid.meshgrid()
         rsq = sum(c ** 2 for c in coords)
@@ -185,10 +180,6 @@ class PotentialSpec:
             except OverflowError:
                 # a Python float's ** raises past the largest float
                 v = np.full(grid.shape, np.inf)
-        elif self.kind == "custom":
-            v = np.asarray(self.params["fn"](*coords), dtype=float)
-            if v.shape != grid.shape:
-                raise FieldError("custom potential shape does not match grid")
         else:
             raise FieldError(f"unknown potential kind {self.kind!r}")
         if not np.all(np.isfinite(v)):
@@ -266,18 +257,27 @@ def plane_wave(grid: Grid, k, hbar: float = 1.0) -> Wavefunction:
 
 def harmonic_ground_state(grid: Grid, omega: float = 1.0, m: float = 1.0,
                           hbar: float = 1.0) -> Wavefunction:
+    """Ground state of the harmonic well; FieldError when its rms density
+    width sqrt(hbar / 2 m omega) is below the grid spacing (or NaN)."""
+    # the width test without the root: a NaN omega fails it, and an
+    # overflowing product is inf, so no numpy warning precedes the error
+    if not 2.0 * m * omega * grid.dx ** 2 <= hbar:
+        raise FieldError(
+            f"omega={omega!r} gives a ground state narrower than the grid "
+            f"spacing {grid.dx:.4g}: its rms width sqrt(hbar/2m omega) "
+            "must be at least dx")
     coords = grid.meshgrid()
     rsq = sum(c ** 2 for c in coords)
     return Wavefunction(grid, np.exp(-m * omega * rsq / (2.0 * hbar)), 0.0).normalized()
 
 
-def differentiate(values: np.ndarray, grid: Grid, axis: int = 0, order: int = 1,
-                  scheme: str = "spectral") -> np.ndarray:
-    """Spatial derivative of a gridded field along one axis.
+def differentiate(values: np.ndarray, grid: Grid, axis: int = 0,
+                  order: int = 1) -> np.ndarray:
+    """Spectral derivative of a gridded field along one axis, exact for
+    band-limited fields.
 
     `values` is one field or a stack of fields along leading axes; `axis`
-    counts the grid's axes.  The spectral scheme is exact for band-limited
-    fields; central_fd2 is a second-order finite-difference cross-check.
+    counts the grid's axes.
     """
     if order not in (1, 2):
         raise FieldError(f"derivative order must be 1 or 2, got {order}")
@@ -285,27 +285,19 @@ def differentiate(values: np.ndarray, grid: Grid, axis: int = 0, order: int = 1,
         raise FieldError(f"axis {axis} out of range for dim {grid.dim}")
     values = np.asarray(values)
     array_axis = axis + values.ndim - grid.dim
-    if scheme == "spectral":
-        k = grid.wavenumbers(axis)
-        spec = np.fft.fft(values, axis=array_axis)
-        np.multiply(spec, 1j * k if order == 1 else -(k ** 2), out=spec)
-        out = np.fft.ifft(spec, axis=array_axis)
-        return out if np.iscomplexobj(values) else out.real
-    if scheme == "central_fd2":
-        up = np.roll(values, -1, axis=array_axis)
-        dn = np.roll(values, 1, axis=array_axis)
-        if order == 1:
-            return (up - dn) / (2.0 * grid.dx)
-        return (up - 2.0 * values + dn) / grid.dx ** 2
-    raise FieldError(f"unknown derivative scheme {scheme!r}")
+    k = grid.wavenumbers(axis)
+    spec = np.fft.fft(values, axis=array_axis)
+    np.multiply(spec, 1j * k if order == 1 else -(k ** 2), out=spec)
+    out = np.fft.ifft(spec, axis=array_axis)
+    return out if np.iscomplexobj(values) else out.real
 
 
-def laplacian(values: np.ndarray, grid: Grid, scheme: str = "spectral") -> np.ndarray:
+def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Sum of the second derivatives along the grid's axes."""
     out = np.zeros(np.shape(values),
                    complex if np.iscomplexobj(values) else float)
     for ax in range(grid.dim):
-        out += differentiate(values, grid, axis=ax, order=2, scheme=scheme)
+        out += differentiate(values, grid, axis=ax, order=2)
     return out
 
 
@@ -418,14 +410,14 @@ def _unwrap_from(prev: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return raw + 2.0 * np.pi * turns
 
 
-def polar_decompose(psi: Wavefunction, eps_node: float | None = None,
-                    hbar: float = 1.0) -> PolarField:
+def polar_decompose(psi: Wavefunction, hbar: float = 1.0) -> PolarField:
     """Split psi into (R, S) with the phase unwrapped across the grid.
 
     Unwrapping seeds at the global maximum of R and spreads breadth-first
-    to periodic neighbors, skipping node points (R < eps_node); node-point
-    phases are then filled by nearest-neighbor continuation and flagged in
-    node_mask.  A field with a non-finite value raises FieldError.
+    to periodic neighbors, skipping node points (R below `node_level`);
+    node-point phases are then filled by nearest-neighbor continuation and
+    flagged in node_mask.  A field with a non-finite value raises
+    FieldError.
     """
     R = np.abs(psi.values)
     finite = np.isfinite(R)
@@ -433,9 +425,7 @@ def polar_decompose(psi: Wavefunction, eps_node: float | None = None,
         bad = R.size - np.count_nonzero(finite)
         raise FieldError(f"{bad} non-finite values in the field; "
                          "phase undefined")
-    if eps_node is None:
-        eps_node = node_level(R, psi.grid.dim)
-    mask = R < eps_node
+    mask = R < node_level(R, psi.grid.dim)
     if mask.mean() > 0.9:
         raise FieldError("nearly all of the grid is at a node; phase undefined")
 
@@ -452,19 +442,18 @@ def polar_compose(polar: PolarField) -> Wavefunction:
     return Wavefunction(polar.grid, values, 0.0).normalized()
 
 
-def quantum_potential_from_abs(R: np.ndarray, grid: Grid, params: PhysicalParams,
-                               eps_node: float | None = None) -> np.ndarray:
+def quantum_potential_from_abs(R: np.ndarray, grid: Grid,
+                               params: PhysicalParams) -> np.ndarray:
     """Quantum potential -(hbar^2/2m) * lap(R)/R from an amplitude field.
 
-    R is one field or a stack of fields along leading axes; by default
-    each field's node threshold is 1e-6 of its own maximum.  At near-node
-    points the value is clamped to the nearest unmasked point of the same
-    field; the dynamics keeps equilibrium densities ~R^2 there, so the
-    clamp affects a vanishing fraction of probability mass.
+    R is one field or a stack of fields along leading axes; each field's
+    node threshold is its own `node_level`.  At near-node points the value
+    is clamped to the nearest unmasked point of the same field; the
+    dynamics keeps equilibrium densities ~R^2 there, so the clamp affects
+    a vanishing fraction of probability mass.
     """
-    if eps_node is None:
-        eps_node = node_level(R, grid.dim)
-    return _quantum_potential_masked(R, R < eps_node, grid, params)
+    return _quantum_potential_masked(R, R < node_level(R, grid.dim), grid,
+                                     params)
 
 
 def _quantum_potential_masked(R, mask, grid, params) -> np.ndarray:

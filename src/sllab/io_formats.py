@@ -76,10 +76,12 @@ def read_slf1(path) -> Wavefunction:
 
 def write_field_csv(psi: Wavefunction, path,
                     params: PhysicalParams | None = None) -> None:
-    """One row per grid point: coordinates, Re psi, Im psi, R, S, Q."""
+    """One row per grid point: coordinates, Re psi, Im psi, R, S, Q; S
+    (in action units) and Q both take hbar from `params`."""
     grid = psi.grid
-    polar = polar_decompose(psi)
-    q = quantum_potential(polar, params or PhysicalParams.quantum())
+    params = params or PhysicalParams.quantum()
+    polar = polar_decompose(psi, hbar=params.hbar)
+    q = quantum_potential(polar, params)
     coords = grid.meshgrid()
     header = (["x", "y"][: grid.dim]) + ["re_psi", "im_psi", "R", "S", "Q"]
     vals = psi.values.ravel()

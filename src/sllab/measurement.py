@@ -214,11 +214,11 @@ def _branch_mass_drift(trace: EvolutionTrace, t_coupling: float) -> float:
 
 
 def run_measurement(model: PointerModel, params: PhysicalParams, n_traj: int,
-                    seed: int, kind: str = "bohmian", dt: float = 5e-3,
-                    traj_dt: float = 1e-2) -> OutcomeReport:
-    """Full readout: 2D evolution, then `read_out` of one trajectory kind."""
-    trace = evolve_pointer(model, params, dt=dt)
-    return read_out(model, params, trace, n_traj, seed, (kind,), traj_dt)[0]
+                    seed: int, kind: str = "bohmian") -> OutcomeReport:
+    """Full readout: 2D evolution at the default step, then `read_out` of
+    one trajectory kind with a transport step of 0.01."""
+    trace = evolve_pointer(model, params)
+    return read_out(model, params, trace, n_traj, seed, (kind,), 1e-2)[0]
 
 
 def read_out(model: PointerModel, params: PhysicalParams,

@@ -14,10 +14,10 @@ class PlotError(ValueError):
     pass
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
+    raw = np.linspace(lo, hi, 5)
     return [float(v) for v in raw]
 
 

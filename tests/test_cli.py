@@ -202,6 +202,14 @@ MALFORMED = [
     ("n_not_power_of_two", _doc("free_packet", n=100), False),
     # omega ** 2 overflows a Python float
     ("omega_squared_overflows", _doc("eigenstate_hold", omega=1e200), False),
+    # ground states narrower than the grid spacing; at 1e308, 2 m omega
+    # overflows
+    ("omega_unresolved", _doc("eigenstate_hold", omega=1e100), False),
+    ("omega_max_float", _doc("eigenstate_hold", omega=1e308), False),
+    ("omega_unresolved_nelson",
+     _doc("nelson_born", 11, omega=1e100, t_final=0.01), False),
+    ("omega_max_float_nelson",
+     _doc("nelson_born", 11, omega=1e308, t_final=0.01), False),
     ("n_bool", _doc("free_packet", n=True), True),
     ("dt_over_kinetic_bound", _doc("free_packet", dt=0.5), False),
     ("t_final_nan", _doc("free_packet", t_final=math.nan), True),
@@ -249,6 +257,8 @@ MALFORMED = [
 
 
 class TestMalformedConfigs:
+    # a numpy warning on the way to the config error fails the case
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("doc,in_validate",
                              [m[1:] for m in MALFORMED],
                              ids=[m[0] for m in MALFORMED])
@@ -258,7 +268,7 @@ class TestMalformedConfigs:
         out = tmp_path / "out"
         assert main(["run", p, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err
+        assert err.count("config error") == 1
         assert "Traceback" not in err
         assert not (out / "summary.json").exists()
         assert main(["validate", p]) == (2 if in_validate else 0)

@@ -126,6 +126,16 @@ class TestHFunction:
         h = coarse_grained_h(x, rho, g, coarse_bins=16)
         assert 0.0 <= h < 5e-3
 
+    @pytest.mark.parametrize("bins", [16, 10])
+    def test_h_bins_the_target_as_the_sampler_places_it(self, bins):
+        # H of an equilibrium sample is sampling noise only, about
+        # (bins - 1) / 2N = 4e-5 at 16 bins; binning the target half a
+        # cell off the samples adds about 1e-3
+        g = make_grid(1, 20.0, 256)
+        rho = harmonic_ground_state(g).density()
+        x = sample_density(rho, g, 200_000, seed=3)[:, 0]
+        assert coarse_grained_h(x, rho, g, coarse_bins=bins) < 2e-4
+
     def test_nonequilibrium_h_positive(self):
         g = make_grid(1, 20.0, 256)
         rho = gaussian_packet(g).density()

@@ -118,6 +118,24 @@ class TestCsv:
         re0 = float(rows[32]["re_psi"])
         assert re0 == psi.values[32].real
 
+    def test_field_csv_takes_hbar_for_s_and_q(self, tmp_path):
+        # S = hbar * phase and Q = -(hbar^2 / 2m) lap R / R; doubling hbar
+        # scales them by powers of two, which is exact
+        psi = gaussian_packet(make_grid(1, 20.0, 64), momentum=1.5)
+        cols = {}
+        for hbar in (1.0, 2.0):
+            p = tmp_path / f"field{hbar}.csv"
+            write_field_csv(psi, p, PhysicalParams(hbar=hbar))
+            with open(p) as fh:
+                rows = list(csv.DictReader(fh))
+            cols[hbar] = {k: np.array([float(r[k]) for r in rows])
+                          for k in ("R", "S", "Q")}
+        one, two = cols[1.0], cols[2.0]
+        assert np.any(one["S"] != 0)
+        assert np.array_equal(two["R"], one["R"])
+        assert np.array_equal(two["S"], 2 * one["S"])
+        assert np.array_equal(two["Q"], 4 * one["Q"])
+
     def test_series_csv(self, tmp_path):
         p = tmp_path / "s.csv"
         write_series_csv([(0.0, 1.5), (0.1, 2.5)], ["t", "w"], p)
