@@ -15,10 +15,12 @@ bit for bit as it would run alone: every velocity field is built once per
 time for all of them, and rules that share a seed and an ensemble size
 draw each noise row once.  Noise is drawn through one Philox bit
 generator re-keyed to each particle's stream, which costs less than
-building a generator per particle and gives the same values.  Its rows
-come from one step-major buffer per stream, refilled every _NOISE_BLOCK
-steps: a row is contiguous and valid until the next one is drawn, so a
-transport uses each row at once.
+building a generator per particle and gives the same values; between
+blocks a stream keeps each particle's generator state in one row of a
+uint64 array.  Its rows come from one step-major buffer per stream,
+refilled for each of the equal blocks of at most _NOISE_BLOCK steps and
+scaled by the noise amplitude as it is filled: a row is contiguous and
+valid until the next one is drawn, so a transport uses each row at once.
 
 The loop records positions only at the steps a schedule (`keep`) names,
 so memory grows with the ensembles, not with the step count.
@@ -28,7 +30,11 @@ count.  Velocities at points are read from `velocity_field` grids through
 `interpolate_grid`; node points take the nearest valid value
 (`grid_field.fill_nodes`).  A field is filled only when a gather reaches a
 cell with a node corner, once for v and b together, and the gathered bytes
-are those of a field filled when it was built.
+are those of a field filled when it was built.  One look-up per step of
+each particle's cell in a table of the field (`_cell_codes`) tells both
+whether the cell can flag the particle, so |psi| is interpolated only in
+such cells while they are few, and whether it has a node corner, for the
+step's first gather.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .grid_field import (
 )
 from .dynamics import EvolutionTrace
 
-_NOISE_BLOCK = 512  # time steps of noise generated per particle at once
+_NOISE_BLOCK = 512  # most time steps of noise drawn per particle at once
 _NOISE_TILE = 64  # particles drawn into the scratch before one copy-in
 
 
@@ -72,7 +78,7 @@ class VelocityField:
         self.node_level = node_level
         self._grids = {"v": v, "b": b}
         self._mask = mask if mask.any() else None  # None: nothing to fill
-        self._node_cells = None
+        self._codes = None
 
     @property
     def v(self) -> tuple:
@@ -86,22 +92,40 @@ class VelocityField:
         self._fill()
         return self._grids["b"]
 
-    def gather(self, name: str, cells: list) -> np.ndarray:
-        """The grids `name` ("v" or "b") at the points of `cells`: (N, dim).
-        The field is filled first if a cell has a node corner."""
-        if self._mask is not None and self._reaches_node(cells):
-            self._fill()
-        return _gather_axes(self._grids[name], cells)
+    def lookup(self, cells: list) -> np.ndarray:
+        """The code of each cell of `cells`, one look-up of its lower corner
+        in a table built once per field (`_cell_codes`): 2 if a corner is a
+        node point, else 1 if a point of the cell can flag, else 0."""
+        if self._codes is None:
+            self._codes = _cell_codes(self.abs_psi, self.node_level)
+        return self._codes.take(cells[0][0])
 
-    def _reaches_node(self, cells: list) -> bool:
-        """Whether a cell of `cells` has a node corner: one look-up of each
-        cell's lower corner in a table, built once, of the cells with one."""
-        if self._node_cells is None:
-            table = self._mask
-            for ax in range(table.ndim):
-                table = table | np.roll(table, -1, axis=ax)
-            self._node_cells = table.ravel()
-        return bool(self._node_cells.take(cells[0][0]).any())
+    def flag(self, cells: list, codes: np.ndarray, flags: np.ndarray) -> None:
+        """Set flags[i] where |psi| at point i of `cells` is below the node
+        level.  Only the points whose cell can flag (`codes` > 0) are
+        interpolated, unless they are more than an eighth of all: picking
+        them out then costs more than interpolating every point (measured
+        at 10,000 particles), and a cell that cannot flag reads above the
+        level either way."""
+        near = np.flatnonzero(codes > 0)  # on bool, not int8: 3x faster
+        if 8 * near.size > len(codes):
+            flags |= _gather(self.abs_psi, cells) < self.node_level
+        elif near.size:
+            sub = [(idx.take(near), tuple(w.take(near) for w in weights))
+                   for idx, weights in cells]
+            flags[near[_gather(self.abs_psi, sub) < self.node_level]] = True
+
+    def gather(self, name: str, cells: list,
+               codes: Optional[np.ndarray]) -> np.ndarray:
+        """The grids `name` ("v" or "b") at the points of `cells`: (N, dim).
+        The field is filled first if a cell has a node corner; `codes` is the
+        cells' `lookup` when the caller has made it, else None."""
+        if self._mask is not None:
+            if codes is None:
+                codes = self.lookup(cells)
+            if codes.max() > 1:
+                self._fill()
+        return _gather_axes(self._grids[name], cells)
 
     def _fill(self) -> None:
         """Fill v and b at the node points, unless that is done already."""
@@ -109,7 +133,31 @@ class VelocityField:
             v, b = self._grids["v"], self._grids["b"]
             filled = fill_nodes(self._mask, len(v), *v, *b)
             self._grids = {"v": filled[:len(v)], "b": filled[len(v):]}
-            self._mask = self._node_cells = None
+            self._mask = None
+
+
+# A point is flagged when the interpolated |psi| there is below the node
+# level L.  Along each axis `_cells` gives a wrapped point (frac >= 0) the
+# weights w = frac - floor(frac), exact, and 1 - w, rounded once, which sum
+# to at least 1 - u (u = 2**-53).  `_gather` rounds each 2-D corner term
+# twice and each of its three sums once, so the interpolant is at least
+# (1 - u)**7 times the cell's least corner |psi| (fewer roundings in 1-D;
+# |psi| clear of the underflow range).  The threshold fl(L (1 + 64u)) is at
+# least L (1 + 64u)(1 - u), and (1 + 64u)(1 - u)**8 > 1, so no point of a
+# cell whose corners all reach the threshold can flag.
+_FLAG_MARGIN = 32 * np.finfo(float).eps
+
+
+def _cell_codes(abs_psi: np.ndarray, level: float) -> np.ndarray:
+    """Per grid cell, flat-indexed by its lower corner, an int8 code: 2 if a
+    corner's |psi| is below `level` (a node corner), else 1 if one is below
+    level * (1 + _FLAG_MARGIN), else 0 (the cell cannot flag).  That is the
+    largest of its corners' own codes."""
+    codes = (abs_psi < level * (1 + _FLAG_MARGIN)).view(np.int8)
+    codes += abs_psi < level
+    for ax in range(abs_psi.ndim):
+        codes = np.maximum(codes, np.roll(codes, -1, axis=ax))
+    return codes.ravel()
 
 
 @dataclass
@@ -211,10 +259,16 @@ def interpolate_grid(field: np.ndarray, grid: Grid,
     """Evaluate a gridded field at arbitrary positions (periodic).
 
     points: array (..., dim); multilinear interpolation with periodic wrap.
+    Returns one value per point, shaped points.shape[:-1].
     """
     field = np.asarray(field)
     field = field.astype(np.result_type(field, np.float64), copy=False)
-    return _gather(field, _cells(grid, np.atleast_2d(points)))
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 0 or points.shape[-1] != grid.dim:
+        raise ValueError(f"points must have shape (..., {grid.dim}), got "
+                         f"{points.shape}")
+    flat = points.reshape(-1, grid.dim)
+    return _gather(field, _cells(grid, flat)).reshape(points.shape[:-1])
 
 
 class FrameInterpolator:
@@ -339,20 +393,20 @@ class StepRule:
 
 
 def _pilot_wave_step(rule: StepRule, interp: FrameInterpolator, dt: float):
-    """advance(t, vf, q, cells, kick) -> q one RK4 step later."""
+    """advance(t, vf, q, cells, codes, kick) -> q one RK4 step later."""
     grid = interp.grid
     extra = rule.drift_extra
 
-    def vel(t, vf, cells, q):
-        out = vf.gather("v", cells)
+    def vel(t, vf, cells, codes, q):
+        out = vf.gather("v", cells, codes)
         return out if extra is None else out + extra(t, q)
 
     def vel_at(t, q):
-        return vel(t, interp.velocity_at(t), _cells(grid, q), q)
+        return vel(t, interp.velocity_at(t), _cells(grid, q), None, q)
 
-    def advance(t, vf, q, cells, kick):
+    def advance(t, vf, q, cells, codes, kick):
         h = t + 0.5 * dt
-        k1 = vel(t, vf, cells, q)
+        k1 = vel(t, vf, cells, codes, q)
         k2 = vel_at(h, grid.wrap(q + 0.5 * dt * k1))
         k3 = vel_at(h, grid.wrap(q + 0.5 * dt * k2))
         k4 = vel_at(t + dt, grid.wrap(q + dt * k3))
@@ -362,14 +416,14 @@ def _pilot_wave_step(rule: StepRule, interp: FrameInterpolator, dt: float):
 
 
 def _diffusion_step(rule: StepRule, interp: FrameInterpolator, dt: float):
-    """advance(t, vf, q, cells, kick) -> q one Euler-Maruyama step later,
-    kick being the step's noise row times sqrt(2 nu dt)."""
+    """advance(t, vf, q, cells, codes, kick) -> q one Euler-Maruyama step
+    later, kick being the step's noise row times sqrt(2 nu dt)."""
     grid = interp.grid
     extra = rule.drift_extra
     zero = rule.drift_override == "zero"
 
-    def advance(t, vf, q, cells, kick):
-        b = 0.0 if zero else vf.gather("b", cells)
+    def advance(t, vf, q, cells, codes, kick):
+        b = 0.0 if zero else vf.gather("b", cells, codes)
         if extra is not None:
             b = b + extra(t, q)
         return grid.wrap(q + b * dt + kick)
@@ -423,7 +477,7 @@ def transport(trace: EvolutionTrace, runs: Sequence, dt: float,
             key = (rule.rng_seed, npart)
             if key not in noise:
                 noise[key] = _philox_noise(rule.rng_seed, npart, nsteps,
-                                           grid.dim)
+                                           grid.dim, amp)
             advances.append(_diffusion_step(rule, interp, dt))
             streams.append(key)
         qs.append(q)
@@ -442,11 +496,13 @@ def transport(trace: EvolutionTrace, runs: Sequence, dt: float,
         t = t0 + i * dt
         vf = interp.velocity_at(t)
         # a noise row is valid only until its stream's next row is drawn
-        kicks = {key: amp * next(rows) for key, rows in noise.items()}
+        kicks = {key: next(rows) for key, rows in noise.items()}
         for k, advance in enumerate(advances):
             cells = _cells(grid, qs[k])
-            flags[k] |= _gather(vf.abs_psi, cells) < vf.node_level
-            qs[k] = advance(t, vf, qs[k], cells, kicks.get(streams[k]))
+            codes = vf.lookup(cells)
+            vf.flag(cells, codes, flags[k])
+            qs[k] = advance(t, vf, qs[k], cells, codes,
+                            kicks.get(streams[k]))
         record(i + 1)
 
     times = all_times[cols]
@@ -471,45 +527,69 @@ def integrate_bohmian(trace: EvolutionTrace, q0_list, dt: float,
                      dt, params, steps, keep)[0]
 
 
-def _philox_start(seed: int, i: int, zeros: np.ndarray) -> dict:
-    """The state of np.random.Philox(key=[seed, i]) before its first draw."""
-    return {"bit_generator": "Philox",
-            "state": {"counter": zeros, "key": np.array([seed, i], np.uint64)},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def _philox_noise(seed: int, npart: int, nsteps: int, dim: int,
+                 scale: float):
+    """Standard normal increments times `scale`, one (npart, dim) row per
+    step, from particle i's Philox stream keyed by (seed, i), so a path does
+    not depend on the ensemble size.  The steps are drawn in the fewest
+    blocks of at most _NOISE_BLOCK steps, of equal width give or take one.
 
-
-def _philox_noise(seed: int, npart: int, nsteps: int, dim: int):
-    """Standard normal increments, one (npart, dim) row per step, drawn in
-    blocks of _NOISE_BLOCK steps from particle i's Philox stream keyed by
-    (seed, i), so a path does not depend on the ensemble size.
-
-    Every stream is drawn through one bit generator: it is set to particle
-    i's state before i's draws, and that state is read back only when
-    another block follows.  The rows are the steps of one step-major buffer
-    that every block refills, so each is C-contiguous and valid only until
-    the next row is requested.  A block is drawn _NOISE_TILE particles at a
-    time into a small particle-major scratch and copied in transposed.
+    Every stream is drawn through one bit generator, set before particle
+    i's draws from one reused state dict of Python ints: key [seed, i] and
+    either the start state or the state i had at the end of the last block.
+    That state is read back only when another block follows, into one
+    (npart, 9) uint64 array (counter, buffer, buffer position).  The rows
+    are the steps of one step-major buffer that every block refills, so each
+    is C-contiguous and valid only until the next row is requested.  A block
+    is drawn _NOISE_TILE particles at a time into a small particle-major
+    scratch and copied in transposed and scaled.
     """
+    if nsteps == 0:
+        return
+    nblocks = -(-nsteps // _NOISE_BLOCK)
+    bounds = [nsteps * k // nblocks for k in range(nblocks + 1)]
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    zeros = np.zeros(4, np.uint64)
-    states = [None] * npart
-    rows = np.empty((min(_NOISE_BLOCK, nsteps), npart, dim))
+    key = [seed, 0]
+    inner = {"counter": (0, 0, 0, 0), "key": key}
+    state = {"bit_generator": "Philox", "state": inner,
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
+    carried = np.empty((npart, 9), np.uint64) if nblocks > 1 else None
+    rows = np.empty((-(-nsteps // nblocks), npart, dim))
     tile = np.empty((min(_NOISE_TILE, npart), len(rows), dim))
-    for start in range(0, nsteps, _NOISE_BLOCK):
-        width = min(_NOISE_BLOCK, nsteps - start)
-        more = start + width < nsteps
+    for b in range(nblocks):
+        width = bounds[b + 1] - bounds[b]
+        more = b + 1 < nblocks
         for lo in range(0, npart, _NOISE_TILE):
             hi = min(lo + _NOISE_TILE, npart)
-            for j in range(lo, hi):
-                state = states[j]
-                bitgen.state = (_philox_start(seed, j, zeros) if state is None
-                                else state)
+            saved = carried[lo:hi].tolist() if b > 0 else [None] * (hi - lo)
+            ends = []
+            for j, prev in zip(range(lo, hi), saved):
+                key[1] = j
+                if prev is not None:
+                    inner["counter"], state["buffer"] = prev[:4], prev[4:8]
+                    state["buffer_pos"] = prev[8]
+                bitgen.state = state
                 gen.standard_normal(out=tile[j - lo, :width])
                 if more:
-                    states[j] = bitgen.state
-            rows[:width, lo:hi] = tile[:hi - lo, :width].swapaxes(0, 1)
+                    ends.append(bitgen.state)
+            if more:
+                _save_states(ends, carried[lo:hi])
+            np.multiply(tile[:hi - lo, :width].swapaxes(0, 1), scale,
+                        out=rows[:width, lo:hi])
         yield from rows[:width]
+
+
+def _save_states(states: list, out: np.ndarray) -> None:
+    """Copy Philox `bitgen.state` dicts into the rows of an (n, 9) uint64
+    array: counter, buffer, buffer position.  The rest is known: the key,
+    and has_uint32 = uinteger = 0, which standard normals never change.
+    One copy of their bytes costs less than a numpy assignment per state."""
+    raw = b"".join([st["state"]["counter"].tobytes() + st["buffer"].tobytes()
+                    for st in states])
+    out[:, :8] = np.frombuffer(raw, np.uint64).reshape(-1, 8)
+    out[:, 8] = [st["buffer_pos"] for st in states]
 
 
 def integrate_nelson(trace: EvolutionTrace, q0_list, dt: float,

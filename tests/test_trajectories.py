@@ -18,6 +18,7 @@ from sllab.grid_field import (
 from sllab.measurement import PointerModel, coupling_drift, evolve_pointer
 from sllab.trajectories import (
     StepRule,
+    VelocityField,
     _philox_noise,
     integrate_bohmian,
     integrate_nelson,
@@ -102,6 +103,27 @@ class TestInterpolation:
         pts = np.array([[1.0, 2.0], [-3.0, 0.5]])
         out = interpolate_grid(f, g, pts)
         assert np.allclose(out, pts[:, 0] + 2.0 * pts[:, 1], atol=1e-9)
+
+    @pytest.mark.parametrize("dim, shape", [(1, (2, 2, 1)), (2, (2, 3, 2))])
+    def test_leading_axes_keep_their_shape(self, dim, shape):
+        g = make_grid(dim, 20.0, 32)
+        f = np.random.default_rng(1).normal(size=(32,) * dim)
+        pts = np.random.default_rng(2).uniform(-10.0, 10.0, size=shape)
+        out = interpolate_grid(f, g, pts)
+        assert out.shape == shape[:-1]
+        flat = interpolate_grid(f, g, pts.reshape(-1, dim))
+        assert _bits(out.ravel()) == _bits(flat)
+        for i in np.ndindex(shape[:-1]):
+            assert out[i] == interpolate_grid(f, g, pts[i][None])[0]
+
+    @pytest.mark.parametrize("dim, shape", [(1, (3,)), (1, (3, 2)),
+                                            (2, (3, 1)), (2, ()),
+                                            (2, (2, 3))])
+    def test_wrong_last_axis_rejected(self, dim, shape):
+        g = make_grid(dim, 20.0, 32)
+        f = np.zeros((32,) * dim)
+        with pytest.raises(ValueError, match="shape"):
+            interpolate_grid(f, g, np.zeros(shape))
 
 
 class TestBohmian:
@@ -443,20 +465,24 @@ class TestLockstep:
 
 class TestNoise:
     @staticmethod
-    def _check_streams(seed, npart, nsteps, dim):
+    def _check_streams(seed, npart, nsteps, dim, scale=0.3):
         rows = []
-        for row in _philox_noise(seed, npart, nsteps, dim):
+        for row in _philox_noise(seed, npart, nsteps, dim, scale):
             assert row.shape == (npart, dim) and row.flags.c_contiguous
             rows.append(row.copy())
         rows = np.array(rows)
         assert rows.shape == (nsteps, npart, dim)
         for i in range(npart):
-            gen = np.random.Generator(np.random.Philox(key=[seed, i]))
-            assert _bits(rows[:, i]) == _bits(gen.standard_normal((nsteps,
-                                                                   dim)))
+            # a uint64 array: numpy casts a list key of ints >= 2**63 to 0
+            key = np.array([seed, i], np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            assert _bits(rows[:, i]) == _bits(
+                scale * gen.standard_normal((nsteps, dim)))
 
-    # one block, three and six: states carried across block boundaries
-    @pytest.mark.parametrize("nsteps", [60, 1100, 2600])
+    # one block, two, three and six: states carried across block boundaries
+    # and blocks of equal width give or take a step (513 = 256 + 257,
+    # 1000 = 500 + 500, 1025 = 341 + 342 + 342)
+    @pytest.mark.parametrize("nsteps", [60, 513, 1000, 1025, 1100, 2600])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_streams_equal_per_particle_generators(self, nsteps, dim):
         self._check_streams(11, 7, nsteps, dim)
@@ -468,17 +494,29 @@ class TestNoise:
     def test_partial_tile(self, nsteps, dim):
         self._check_streams(5, 150, nsteps, dim)
 
+    # the largest seed, which the reused state dict hands the generator as a
+    # Python int in its key list, in the first block and after a carry
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_largest_seed(self, dim):
+        self._check_streams(2 ** 64 - 1, 3, 1025, dim)
+
+    def test_no_steps(self):
+        assert list(_philox_noise(3, 4, 0, 1, 1.0)) == []
+
     def test_one_block_resident(self):
+        # the step-major buffer, the tile and one (npart, 9) uint64 array of
+        # carried states; no per-particle state objects
         npart, dim = 2000, 1
         block_bytes = 512 * npart * dim * 8
+        list(_philox_noise(3, 1, 1, dim, 1.0))  # numpy's lazy imports
         tracemalloc.start()
         try:
-            for _ in _philox_noise(3, npart, 3 * 512, dim):
+            for _ in _philox_noise(3, npart, 3 * 512, dim, 1.0):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * block_bytes
+        assert peak < 1.1 * block_bytes
 
 
 def _node_line_case():
@@ -575,6 +613,26 @@ class TestLazyNodeFill:
                   dt, QUANTUM, steps)
         assert len(fills) == 1  # one static field
 
+    def test_static_run_looks_up_once_per_step(self, monkeypatch):
+        # the node flags and the drift gather share one look-up per step in
+        # the one table of the one field
+        builds, lookups = [], []
+        build, lookup = trajectories._cell_codes, VelocityField.lookup
+
+        def counted_build(*args):
+            builds.append(1)
+            return build(*args)
+
+        def counted_lookup(self, cells):
+            lookups.append(1)
+            return lookup(self, cells)
+
+        monkeypatch.setattr(trajectories, "_cell_codes", counted_build)
+        monkeypatch.setattr(VelocityField, "lookup", counted_lookup)
+        trace, q0, dt, seed, _, steps, _ = _static_case()
+        integrate_nelson(trace, q0, dt, QUANTUM, seed, steps=steps)
+        assert len(builds) == 1 and len(lookups) == steps
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_masked_points_take_nearest_valid_value(self, dim):
         grid = make_grid(dim, 20.0, 32)
@@ -592,3 +650,40 @@ class TestLazyNodeFill:
             # one nearest valid point is the source of every grid
             got = [f[tuple(p)] for f in vf.v + vf.b]
             assert any(got == [f[q] for f in vf.v + vf.b] for q in near)
+
+
+class TestNodeFlags:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_flags_at_the_node_edge(self, dim):
+        # bands of grid rows whose |psi| is the node level L, one ulp above
+        # it, the flag threshold L (1 + margin) and one ulp below L (nodes);
+        # rounding puts the interpolant below L at some points of cells whose
+        # corners are all at L, so only a margin finds every flag
+        grid = make_grid(dim, 20.0, 32)
+        amp = np.ones((32,) * dim)
+        level = 1e-6  # node_level of a field whose maximum is 1
+        edge = level * (1 + trajectories._FLAG_MARGIN)
+        bands = {(2, 8): level, (10, 16): np.nextafter(level, 1.0),
+                 (18, 24): edge, (26, 30): np.nextafter(level, 0.0)}
+        for (lo, hi), value in bands.items():
+            amp[lo:hi] = value
+        vf = velocity_field(amp.astype(complex), grid, QUANTUM)
+        assert vf.node_level == level
+        pts = grid.wrap(np.random.default_rng(1).uniform(
+            -10.0, 10.0, size=(200_000, dim)))
+        cells = trajectories._cells(grid, pts)
+        want = trajectories._gather(vf.abs_psi, cells) < level
+        row = cells[0][0] // 32 ** (dim - 1)  # first index of the cell
+        at_level = (row >= 2) & (row < 7)  # every corner at L
+        assert want[at_level].any() and not want[(row >= 18) & (row < 23)].any()
+        # every point, most of them in cells that can flag; then the points
+        # of cells that cannot, those that rounding flags in cells at L and
+        # every 50th other one, so that few can flag
+        codes = vf.lookup(cells)
+        few = ((codes == 0) | (want & at_level)
+               | ((codes > 0) & (np.arange(len(pts)) % 50 == 0)))
+        for pick in (slice(None), np.flatnonzero(few)):
+            sub = trajectories._cells(grid, pts[pick])
+            flags = np.zeros(len(pts[pick]), dtype=bool)
+            vf.flag(sub, vf.lookup(sub), flags)
+            assert _bits(flags) == _bits(want[pick])
