@@ -32,9 +32,8 @@ count.  Velocities at points are read from `velocity_field` grids through
 cell with a node corner, once for v and b together, and the gathered bytes
 are those of a field filled when it was built.  One look-up per step of
 each particle's cell in a table of the field (`_cell_codes`) tells both
-whether the cell can flag the particle, so |psi| is interpolated only in
-such cells while they are few, and whether it has a node corner, for the
-step's first gather.
+whether some cell can flag its particle, so |psi| is interpolated only
+then, and whether one has a node corner, for the step's first gather.
 """
 
 from __future__ import annotations
@@ -102,18 +101,11 @@ class VelocityField:
 
     def flag(self, cells: list, codes: np.ndarray, flags: np.ndarray) -> None:
         """Set flags[i] where |psi| at point i of `cells` is below the node
-        level.  Only the points whose cell can flag (`codes` > 0) are
-        interpolated, unless they are more than an eighth of all: picking
-        them out then costs more than interpolating every point (measured
-        at 10,000 particles), and a cell that cannot flag reads above the
-        level either way."""
-        near = np.flatnonzero(codes > 0)  # on bool, not int8: 3x faster
-        if 8 * near.size > len(codes):
+        level.  |psi| is interpolated only if some cell can flag (`codes`,
+        the cells' `lookup`, > 0): a point of any other cell reads above
+        the level."""
+        if codes.any():
             flags |= _gather(self.abs_psi, cells) < self.node_level
-        elif near.size:
-            sub = [(idx.take(near), tuple(w.take(near) for w in weights))
-                   for idx, weights in cells]
-            flags[near[_gather(self.abs_psi, sub) < self.node_level]] = True
 
     def gather(self, name: str, cells: list,
                codes: Optional[np.ndarray]) -> np.ndarray:

@@ -676,14 +676,45 @@ class TestNodeFlags:
         row = cells[0][0] // 32 ** (dim - 1)  # first index of the cell
         at_level = (row >= 2) & (row < 7)  # every corner at L
         assert want[at_level].any() and not want[(row >= 18) & (row < 23)].any()
-        # every point, most of them in cells that can flag; then the points
-        # of cells that cannot, those that rounding flags in cells at L and
-        # every 50th other one, so that few can flag
+        # a cell whose code is 0 holds no flagged point, so skipping |psi|
+        # where no cell can flag leaves the flags those of a full gather
         codes = vf.lookup(cells)
-        few = ((codes == 0) | (want & at_level)
-               | ((codes > 0) & (np.arange(len(pts)) % 50 == 0)))
-        for pick in (slice(None), np.flatnonzero(few)):
+        assert (codes[at_level] > 0).all() and not want[codes == 0].any()
+        for pick in (slice(None), np.flatnonzero(codes == 0)):
             sub = trajectories._cells(grid, pts[pick])
             flags = np.zeros(len(pts[pick]), dtype=bool)
             vf.flag(sub, vf.lookup(sub), flags)
             assert _bits(flags) == _bits(want[pick])
+
+    def test_abs_psi_is_read_only_near_a_node(self, monkeypatch):
+        # particles near the pointer's branch centres sit in cells that
+        # cannot flag, so no step interpolates |psi|; one particle in the
+        # node region makes steps do so, and is flagged
+        fields, gathered = [], []
+        build, gather = trajectories.velocity_field, trajectories._gather
+
+        def counted_build(*args):
+            fields.append(build(*args))
+            return fields[-1]
+
+        def counted_gather(field, cells):
+            gathered.append(field)
+            return gather(field, cells)
+
+        monkeypatch.setattr(trajectories, "velocity_field", counted_build)
+        monkeypatch.setattr(trajectories, "_gather", counted_gather)
+        trace, q0, dt, seed, _, _, extra = _pointer_case()
+
+        def psi_reads(q):
+            fields.clear()
+            gathered.clear()
+            ens = transport(trace, [(q, StepRule("nelson", extra, seed))],
+                            dt, QUANTUM)[0]
+            reads = sum(any(f is vf.abs_psi for vf in fields)
+                        for f in gathered)
+            return reads, len(ens.times) - 1, ens.node_flags
+
+        reads, steps, flags = psi_reads(q0[:4])
+        assert reads == 0 and steps > 0 and not flags.any()
+        reads, steps, flags = psi_reads(q0)
+        assert 0 < reads <= steps and flags[5]
