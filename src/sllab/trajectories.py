@@ -102,7 +102,7 @@ class VelocityField:
     def flag(self, cells: list, codes: np.ndarray, flags: np.ndarray) -> None:
         """Set flags[i] where |psi| at point i of `cells` is below the node
         level.  |psi| is interpolated only if some cell can flag (`codes`,
-        the cells' `lookup`, > 0): a point of any other cell reads above
+        the cells' `lookup`, > 0): no point of any other cell reads below
         the level."""
         if codes.any():
             flags |= _gather(self.abs_psi, cells) < self.node_level
