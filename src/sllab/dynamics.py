@@ -17,14 +17,18 @@ that closes one step also opens the next: at lam < 1 the quantum
 potential is evaluated once per step, from |psi| after the kinetic
 factor (first order in dt for the nonlinear part), and at lam = 1 the
 kick factor is exponentiated once per run.  The lam < 1 kick owns its Q
-kernel (`_QKernel`): one real transform of R over the field axes, the
-|k|^2 multiply on the half spectrum, one inverse real transform, the
-division by R and the node fill, on arrays kept while the stack keeps
-its shape.  The fill's source map is kept while the node mask holds
-still, which it does on most steps, and found again only when the mask
-changes.  The stepper advances a stack of fields at once, each with
-its own lam; `lambda_sweep` runs all its fields in one stack, and each
-row gives the bytes a separate `evolve` call gives.
+kernel (`_QKernel`): a real transform of R along the last field axis
+and complex ones along the others, the |k|^2 multiply on the half
+spectrum, the inverse transforms, the division by R and the node fill,
+on arrays kept while the stack keeps its shape.  The fill's source map
+is kept while the node mask holds still, which it does on most steps,
+and found again only when the mask changes.  The stepper advances a
+stack of fields at once, each with its own lam; `lambda_sweep` runs all
+its fields in one stack, and each row gives the bytes a separate
+`evolve` call gives.  A step whose norms hold is checked from the norms
+alone; the fields are scanned for non-finite values only at snapshots
+and at a step that fails, and each snapshot's <H> serves its lam-energy
+check.
 """
 
 from __future__ import annotations
@@ -117,16 +121,16 @@ def energy_expectation(psi: Wavefunction, potential: PotentialSpec,
     return float(np.sum(integrand).real * grid.cell_volume)
 
 
-def lambda_energy(psi: Wavefunction, potential: PotentialSpec,
-                  params: PhysicalParams) -> float:
-    """The conserved energy of the lam-dynamics:
+def lambda_energy(snap: Snapshot, params: PhysicalParams) -> float:
+    """The conserved energy of the lam-dynamics at a snapshot:
     int rho [ (grad S)^2/2m + V + lam*Q ] = <H> - (1 - lam) int rho Q,
-    using int rho Q = (hbar^2/2m) int (grad R)^2."""
-    e = energy_expectation(psi, potential, params)
+    using int rho Q = (hbar^2/2m) int (grad R)^2.  <H> is the snapshot's
+    `energy`, so it is computed once per snapshot."""
+    e = snap.energy
     if params.lam == 1.0:
         return e
-    grid = psi.grid
-    R = np.abs(psi.values)
+    grid = snap.psi.grid
+    R = np.abs(snap.psi.values)
     grad_sq = sum(np.abs(differentiate(R, grid, axis=ax, order=1)) ** 2
                   for ax in range(grid.dim))
     int_rho_q = (params.hbar ** 2 / (2.0 * params.m)) \
@@ -202,8 +206,9 @@ class _QKernel:
     The lam < 1 kick evaluates Q every step on a stack of one shape.
     Stack-sized temporaries made anew each step would be freed at the top
     of the heap, given back to the system and faulted in again on the next
-    step, so the kernel keeps its own.  R is real, so one real transform
-    over the field axes serves them all:
+    step, so the kernel keeps its own.  R is real, so a real transform
+    along the last field axis and complex ones along the others give the
+    half spectrum, as `np.fft.rfftn` does, called axis by axis:
     Q = (hbar^2/2m) irfft(|k|^2 rfft R) / R where R is at or above its
     field's `node_level`; a node point takes the value of the nearest
     point that is not, as in `quantum_potential_from_abs`.  The node mask
@@ -216,7 +221,8 @@ class _QKernel:
         shape = (rows,) + grid.shape
         half = grid.npoints // 2 + 1
         self.dim = grid.dim
-        self.axes = tuple(range(1, grid.dim + 1))
+        # the transforms' axes: complex ones, then the real one
+        *self.other_axes, self.last_axis = range(1, grid.dim + 1)
         self.psi = np.empty(shape, complex)
         self.R = np.empty(shape)
         self.mask = np.empty(shape, bool)
@@ -242,9 +248,16 @@ class _QKernel:
         if not np.array_equal(mask, self.src_mask):
             self.src = node_sources(mask, self.dim)
             np.copyto(self.src_mask, mask)
-        spec = np.fft.rfftn(R, axes=self.axes, out=self.spec)
+        # the 1-D transforms np.fft.rfftn and irfftn make, in their order,
+        # without their per-call argument handling
+        spec = np.fft.rfft(R, axis=self.last_axis, out=self.spec)
+        for ax in reversed(self.other_axes):
+            np.fft.fft(spec, axis=ax, out=spec)
         np.multiply(spec, self.ksq, out=spec)
-        q = np.fft.irfftn(spec, s=R.shape[1:], axes=self.axes, out=self.q)
+        for ax in self.other_axes:
+            np.fft.ifft(spec, axis=ax, out=spec)
+        q = np.fft.irfft(spec, n=R.shape[-1], axis=self.last_axis,
+                         out=self.q)
         # node points are divided by nothing: the fill overwrites them
         np.divide(q, R, out=q, where=np.logical_not(mask, out=self.valid))
         if self.src is None:
@@ -286,13 +299,15 @@ def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
     q_last = np.zeros(len(live))
 
     # the kick's arrays live while the stack keeps its shape, for the
-    # reason `_QKernel` keeps its own
-    factor = kernel = theta = kick = None
+    # reason `_QKernel` keeps its own; so do the lam < 1 rows and their
+    # lam - 1, since lam changes only when rows leave the stack
+    factor = kernel = theta = kick = sub = lam_col = None
 
     def half_kick(cur_psi):
-        nonlocal q_prev, q_last, factor, kernel, theta, kick
-        sub = np.flatnonzero(lam < 1.0)
+        nonlocal q_prev, q_last, factor, kernel, theta, kick, sub, lam_col
         if factor is None or factor.shape != cur_psi.shape:
+            sub = np.flatnonzero(lam < 1.0)
+            lam_col = (lam[sub] - 1.0).reshape(field_shape)
             factor = np.empty(cur_psi.shape, complex)
             factor[...] = half
             kernel = _QKernel(grid, params, len(sub))
@@ -305,7 +320,7 @@ def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
         q_last[sub] = np.abs(q, out=theta).reshape(len(q), -1).max(axis=1)
         # theta = ((-0.5 * veff) * dt) / hbar with veff = v + (lam - 1) q,
         # and the kick factor exp(i theta) as cos theta + i sin theta
-        np.multiply((lam[sub] - 1.0).reshape(field_shape), q, out=theta)
+        np.multiply(lam_col, q, out=theta)
         np.add(v, theta, out=theta)
         np.multiply(-0.5, theta, out=theta)
         np.multiply(theta, cfg.dt, out=theta)
@@ -328,21 +343,27 @@ def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
     stepper = _split_step(psi, kinetic_phase, cfg.steps, half_kick)
     for i in live:
         snap(i, psi[i], t0[i], float(q_last[i]))
-    e_lam0 = [lambda_energy(tr.snapshots[0].psi, cfg.potential, rp)
+    e_lam0 = [lambda_energy(tr.snapshots[0], rp)
               if rp.lam < 1.0 else None
               for tr, rp in zip(traces, row_params)]
 
+    rho = None
     for step, psi in enumerate(stepper, 1):
         rows = len(live)
-        finite = np.isfinite(psi.reshape(rows, -1).view(float)).all(axis=1)
-        rho = np.square(np.abs(psi))
+        if rho is None or rho.shape != psi.shape:
+            rho = np.empty(psi.shape)
+        np.square(np.abs(psi, out=rho), out=rho)
         norm = np.sqrt(np.sum(rho.reshape(rows, -1), axis=1)
                        * grid.cell_volume)
         drift = np.abs(norm - prev_norm)
         prev_norm = norm
-        snapshot = step % cfg.snapshot_stride == 0
-        if not snapshot and (finite & (drift <= 1e-6)).all():
+        snapshot = step % cfg.snapshot_stride == 0 or step == cfg.steps
+        # a drift <= 1e-6 implies a finite norm (prev_norm is finite), and
+        # a finite norm implies finite values, so a quiet step needs no
+        # finiteness pass
+        if not snapshot and (drift <= 1e-6).all():
             continue
+        finite = np.isfinite(psi.reshape(rows, -1).view(float)).all(axis=1)
         keep = np.ones(rows, dtype=bool)
         for r, i in enumerate(live):
             t = t0[i] + step * cfg.dt
@@ -358,8 +379,8 @@ def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
                     # the propagator is unitary even at lam < 1, so caustic
                     # formation shows up as drift of the conserved
                     # lam-energy, not of the norm
-                    e_lam = lambda_energy(traces[i].snapshots[-1].psi,
-                                          cfg.potential, row_params[i])
+                    e_lam = lambda_energy(traces[i].snapshots[-1],
+                                          row_params[i])
                     if abs(e_lam - e_lam0[i]) > 1e-3 * max(1.0, abs(e_lam0[i])):
                         detail = (f"lam-energy drifted from {e_lam0[i]:.6g} "
                                   f"to {e_lam:.6g} at step {step} "
@@ -380,11 +401,14 @@ def _evolve_rows(psi0s: list, cfg: EvolutionConfig, lams) -> list:
 
 
 def evolve(psi0: Wavefunction, cfg: EvolutionConfig) -> EvolutionTrace:
-    """Propagate psi0 for cfg.steps steps, collecting strided snapshots.
+    """Propagate psi0 for cfg.steps steps, with a snapshot at the start,
+    after every cfg.snapshot_stride steps and after the last step.
 
     Raises EvolutionAbort (carrying the partial trace) if the norm drifts
-    by more than 1e-6 in a single step or a non-finite value appears;
-    for lam < 1 this signals caustic formation / nonlinear breakdown.
+    by more than 1e-6 in a single step or a non-finite value appears, or,
+    for lam < 1, if the conserved lam-energy E of a snapshot differs from
+    the start's E0 by more than 1e-3 * max(1, |E0|); for lam < 1 each
+    signals caustic formation / nonlinear breakdown.
     """
     trace, = _evolve_rows([psi0], cfg, [cfg.params.lam])
     if trace.status == "aborted":

@@ -68,6 +68,19 @@ class TestRun:
         p = _cfg(tmp_path, {"experiment": "nope"})
         assert main(["run", p, "--out", str(tmp_path / "o")]) == 2
 
+    def test_equivariance_span_off_the_transport_step_exit_2(self, tmp_path,
+                                                              capsys):
+        # 205 steps end at t = 0.205, which steps of traj_dt = 0.01 miss
+        p = _cfg(tmp_path, {"experiment": "equivariance", "seed": 0,
+                            "params": {"n": 128, "t_final": 0.205,
+                                       "n_traj": 1000, "n_seeds": 1,
+                                       "bins": 10}})
+        out = tmp_path / "out"
+        assert main(["run", p, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "dt=0.01 does not divide the trace span 0.205" in err
+        assert not (out / "summary.json").exists()
+
     def test_seed_override(self, tmp_path):
         p = _cfg(tmp_path, {"experiment": "relaxation", "seed": 1,
                             "params": {"n_traj": 300, "t_final": 0.5,

@@ -8,6 +8,7 @@ from sllab.dynamics import (
     EvolutionAbort,
     EvolutionConfig,
     _QKernel,
+    _evolve_rows,
     _split_step,
     density_width,
     energy_expectation,
@@ -20,6 +21,7 @@ from sllab.grid_field import (
     PhysicalParams,
     PotentialSpec,
     Wavefunction,
+    differentiate,
     gaussian_packet,
     harmonic_ground_state,
     make_grid,
@@ -285,6 +287,100 @@ class TestSweep:
         assert fringe_visibility(rho, rho, g) == 0.0
 
 
+def _lambda_energy_from_psi(psi, potential, params):
+    """The lam-energy as computed from psi alone, <H> included."""
+    e = energy_expectation(psi, potential, params)
+    grid = psi.grid
+    R = np.abs(psi.values)
+    grad_sq = sum(np.abs(differentiate(R, grid, axis=ax, order=1)) ** 2
+                  for ax in range(grid.dim))
+    int_rho_q = (params.hbar ** 2 / (2.0 * params.m)) \
+        * float(np.sum(grad_sq) * grid.cell_volume)
+    return e - (1.0 - params.lam) * int_rho_q
+
+
+class TestStepChecks:
+    def test_row_aborts_keep_their_details(self, monkeypatch):
+        # at step 5, off the snapshot stride, row 0 turns non-finite and
+        # row 1's norm grows by 1e-3; each row gets its own detail, and
+        # rows 2 and 3 run to the end as they do without the other two
+        real = dynamics._split_step
+
+        def corrupting(psi, kinetic, steps, half_kick=None, axes=None):
+            inner = real(psi, kinetic, steps, half_kick, axes)
+            for step, rows in enumerate(inner, 1):
+                if step == 5:
+                    rows[0, 7] = np.nan
+                    rows[1] *= 1.001
+                keep = yield rows
+                if keep is not None:
+                    inner.send(keep)
+                    yield None
+
+        g = make_grid(1, 40.0, 256)
+        fields = [gaussian_packet(g, center=c) for c in (-4.0, -1.0, 2.0, 5.0)]
+        lams = [1.0, 0.5, 0.5, 1.0]
+        cfg = _cfg(1e-3, 40, stride=10)
+        want = _evolve_rows(fields[2:], cfg, lams[2:])
+        monkeypatch.setattr(dynamics, "_split_step", corrupting)
+        traces = _evolve_rows(fields, cfg, lams)
+        assert [tr.status for tr in traces] == ["aborted", "aborted", "ok", "ok"]
+        assert traces[0].detail == "non-finite field at step 5 (t=0.005)"
+        assert traces[1].detail.startswith("norm drifted by 1.000e-03 at "
+                                           "step 5 (t=0.005)")
+        assert [len(tr.snapshots) for tr in traces] == [1, 1, 5, 5]
+        for tr, ref in zip(traces[2:], want):
+            assert [s.t for s in tr.snapshots] == [s.t for s in ref.snapshots]
+            assert tr.final().values.tobytes() == ref.final().values.tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+    def test_one_energy_per_snapshot(self, dim, n, monkeypatch):
+        # every lam < 1 check reads the snapshot's <H>: its lam-energy is
+        # the one computed from psi alone, bit for bit, and <H> runs once
+        # per snapshot of each row
+        real_energy, real_lambda = energy_expectation, dynamics.lambda_energy
+        energies, checks = [], []
+
+        def counted(*args):
+            energies.append(args)
+            return real_energy(*args)
+
+        def recorded(snap, params):
+            checks.append((snap, params, real_lambda(snap, params)))
+            return checks[-1][2]
+
+        monkeypatch.setattr(dynamics, "energy_expectation", counted)
+        monkeypatch.setattr(dynamics, "lambda_energy", recorded)
+        g = make_grid(dim, 20.0, n)
+        left = gaussian_packet(g, center=-3.0)
+        right = gaussian_packet(g, center=3.0)
+        both = Wavefunction(g, left.values + right.values).normalized()
+        cfg = _cfg(1e-3, 60, potential=PotentialSpec.harmonic(), stride=20)
+        lams = [0.25, 0.5, 1.0]
+        traces = _evolve_rows([both, left, right] * len(lams), cfg,
+                              [lam for lam in lams for _ in range(3)])
+        assert all(tr.status == "ok" and len(tr.snapshots) == 4
+                   for tr in traces)
+        assert len(energies) == 4 * len(traces)
+        assert len(checks) == 4 * 6
+        assert {id(snap) for snap, _, _ in checks} == {
+            id(s) for tr in traces[:6] for s in tr.snapshots}
+        for snap, params, e_lam in checks:
+            assert params.lam < 1.0
+            assert e_lam == _lambda_energy_from_psi(snap.psi, cfg.potential,
+                                                  params)
+
+    def test_last_step_is_recorded(self):
+        # 105 steps at stride 10: snapshots at 0, 10, ..., 100 and 105
+        g = make_grid(1, 40.0, 256)
+        psi0 = gaussian_packet(g)
+        trace = evolve(psi0, _cfg(1e-3, 105, stride=10))
+        assert len(trace.snapshots) == 12
+        assert trace.times[-1] == pytest.approx(0.105, rel=1e-12)
+        assert trace.final().values.tobytes() == \
+            evolve(psi0, _cfg(1e-3, 105)).final().values.tobytes()
+
+
 class TestKernel:
     @staticmethod
     def _field(rng, shape):
@@ -350,6 +446,27 @@ class TestQKernel:
             assert 0 < mask.sum() < mask.size
             assert np.array_equal(kernel.mask, mask)
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dim,n,shifts", [(1, 512, (0.0, 0.7, 1.3, 2.1)),
+                                              (2, 64, (0.0,))])
+    def test_transforms_match_nd_real_transforms(self, dim, n, shifts):
+        # the kernel's per-axis transforms against the same Q computed
+        # through np.fft.rfftn / irfftn, byte for byte: 15 rows of a 1-D
+        # stack at n = 512, as in the benchmark's sweep, and a 2-D stack
+        g = make_grid(dim, 20.0, n)
+        psi = np.concatenate([self._stack(g, shift) for shift in shifts])
+        rows = np.arange(min(len(psi), 15))
+        kernel = _QKernel(g, QUANTUM, len(rows))
+        axes = tuple(range(1, dim + 1))
+        R = np.abs(psi[rows])
+        mask = R < node_level(R, dim)
+        assert 0 < mask.sum() < mask.size
+        spec = np.fft.rfftn(R, axes=axes)
+        np.multiply(spec, kernel.ksq, out=spec)
+        want = np.fft.irfftn(spec, s=R.shape[1:], axes=axes)
+        np.divide(want, R, out=want, where=~mask)
+        want = want.take(node_sources(mask, dim))
+        assert kernel(psi, rows).tobytes() == want.tobytes()
 
     @classmethod
     def _sequence(cls, g):

@@ -89,6 +89,22 @@ class TestRuns:
                      "final.slf1", "width.svg"):
             assert (tmp_path / "out" / name).is_file()
 
+    @pytest.mark.parametrize("experiment,params,t_last", [
+        ("free_packet", {"t_final": 2.01}, 2.01),
+        ("eigenstate_hold", {"n": 256, "steps": 1010}, 1.01)])
+    def test_last_step_is_recorded(self, tmp_path, experiment, params,
+                                   t_last):
+        # neither step count is a multiple of the snapshot stride; the
+        # free packet's width gate reads its last width row
+        cfg = ExperimentConfig.from_dict({"experiment": experiment,
+                                          "params": params})
+        summary = run_experiment(cfg, tmp_path / "out")
+        assert summary["passed"]
+        series = "width.csv" if experiment == "free_packet" \
+            else "diagnostics.csv"
+        last = (tmp_path / "out" / series).read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == pytest.approx(t_last, rel=1e-12)
+
     def test_manifest_checksums_verify(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "experiment": "contextuality", "params": {"fixture": "hardy"}})
