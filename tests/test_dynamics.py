@@ -367,8 +367,8 @@ class TestStepChecks:
             id(s) for tr in traces[:6] for s in tr.snapshots}
         for snap, params, e_lam in checks:
             assert params.lam < 1.0
-            assert e_lam == _lambda_energy_from_psi(snap.psi, cfg.potential,
-                                                  params)
+            assert e_lam == _lambda_energy_from_psi(snap.psi,
+                                                    cfg.potential, params)
 
     def test_last_step_is_recorded(self):
         # 105 steps at stride 10: snapshots at 0, 10, ..., 100 and 105
