@@ -2,19 +2,16 @@
 """Analyze every bundled empirical model: no-signalling audit, global
 sections, contextual fraction, decomposition/certificate, CHSH value,
 and the size and exactness method of the one LP that gives the last
-three."""
+three.  Each model is run as the `contextuality` experiment, whose run
+files go to a temporary directory; the text is printed from its summary.
+"""
 
 import sys
+import tempfile
+from pathlib import Path
 
-from sllab.contextuality import (
-    ScenarioError,
-    check_no_signalling,
-    chsh_value,
-    contextual_fraction,
-    enumerate_global_sections,
-    load_model,
-)
-from sllab.fixtures import FIXTURE_NAMES, fixture_path
+from sllab.experiments import ExperimentConfig, run_experiment
+from sllab.fixtures import FIXTURE_NAMES
 
 
 def _lp(lp):
@@ -23,29 +20,26 @@ def _lp(lp):
 
 
 def main():
-    for name in FIXTURE_NAMES:
-        model = load_model(fixture_path(name))
-        ns = check_no_signalling(model)
-        sections = enumerate_global_sections(model)
-        cf = contextual_fraction(model)
-        dec = cf.decomposition
-        try:
-            chsh = f"{chsh_value(model):.4f}"
-        except ScenarioError:  # not a CHSH scenario
-            chsh = "n/a"
-        print(f"{name}:")
-        print(f"  no-signalling max violation: {ns.max_violation:.2e}")
-        print(f"  global sections: {len(sections)}")
-        print(f"  {_lp(cf.lp)}")
-        print(f"  contextual fraction: {float(cf.fraction):.6f} "
-              f"(dual gap {cf.dual_gap:.1e})")
-        if dec.feasible:
-            print("  noncontextual decomposition: feasible")
-        else:
-            cert = dec.certificate
-            print(f"  certificate: value {float(cert.value):.4f} > "
-                  f"classical bound {float(cert.classical_bound):.4f}")
-        print(f"  CHSH: {chsh}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in FIXTURE_NAMES:
+            cfg = ExperimentConfig(experiment="contextuality",
+                                   params={"fixture": name})
+            s = run_experiment(cfg, Path(tmp) / name)
+            chsh = "n/a" if s["chsh"] is None else f"{s['chsh']:.4f}"
+            print(f"{name}:")
+            print("  no-signalling max violation: "
+                  f"{s['no_signalling_max_violation']:.2e}")
+            print(f"  global sections: {s['global_sections']}")
+            print(f"  {_lp(s['lp']['contextual_fraction'])}")
+            print(f"  contextual fraction: {s['contextual_fraction']:.6f} "
+                  f"(dual gap {s['lp_dual_gap']:.1e})")
+            if s["decomposition_feasible"]:
+                print("  noncontextual decomposition: feasible")
+            else:
+                print(f"  certificate: value {s['certificate_value']:.4f} > "
+                      "classical bound "
+                      f"{s['certificate_classical_bound']:.4f}")
+            print(f"  CHSH: {chsh}")
     return 0
 
 

@@ -16,8 +16,6 @@ from .grid_field import (  # noqa: F401
     gaussian_packet,
     harmonic_ground_state,
     make_grid,
-    plane_wave,
-    polar_compose,
     polar_decompose,
     quantum_potential,
 )

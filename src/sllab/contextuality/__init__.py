@@ -18,7 +18,6 @@ from .analysis import (
 from .quantum import (
     TSIRELSON_SETTINGS,
     quantum_model_from_state,
-    singlet_chsh_model,
     singlet_state,
 )
 from .scenario import (
@@ -27,7 +26,6 @@ from .scenario import (
     ScenarioError,
     load_model,
     model_from_dict,
-    model_to_dict,
 )
 from .simplex import LpError, LpResult, solve_lp
 
@@ -36,8 +34,8 @@ __all__ = [
     "GuardExceeded", "NoSignallingReport", "check_no_signalling",
     "chsh_value", "contextual_fraction", "correlator",
     "enumerate_global_sections", "noncontextual_decompose",
-    "TSIRELSON_SETTINGS", "quantum_model_from_state", "singlet_chsh_model",
-    "singlet_state", "EmpiricalModel", "Scenario", "ScenarioError",
-    "load_model", "model_from_dict", "model_to_dict",
+    "TSIRELSON_SETTINGS", "quantum_model_from_state", "singlet_state",
+    "EmpiricalModel", "Scenario", "ScenarioError", "load_model",
+    "model_from_dict",
     "LpError", "LpResult", "solve_lp",
 ]

@@ -22,7 +22,7 @@ ENUM_GUARD = 10 ** 6
 LP_GUARD = 2 ** 14
 
 
-class GuardExceeded(RuntimeError):
+class GuardExceeded(ValueError):
     pass
 
 
@@ -30,9 +30,6 @@ class GuardExceeded(RuntimeError):
 class NoSignallingReport:
     max_violation: float
     witness: tuple | None  # (context_a, context_b, shared_obs) of the max
-
-    def ok(self, tol: float = 1e-9) -> bool:
-        return self.max_violation <= tol
 
 
 def check_no_signalling(model: EmpiricalModel) -> NoSignallingReport:
@@ -85,9 +82,11 @@ def _assignments(scenario: Scenario, indices) -> list:
 def enumerate_global_sections(model: EmpiricalModel) -> list:
     """All total outcome assignments consistent with every context support."""
     scenario = model.scenario
-    if scenario.n_global_assignments() > ENUM_GUARD:
-        raise GuardExceeded("assignment space exceeds enumeration guard")
-    consistent = np.ones(scenario.n_global_assignments(), dtype=bool)
+    n = scenario.n_global_assignments()
+    if n > ENUM_GUARD:
+        raise GuardExceeded(f"{n} global assignments exceed the "
+                            f"enumeration guard of {ENUM_GUARD}")
+    consistent = np.ones(n, dtype=bool)
     for ctx, hits in _context_hits(scenario):
         support = model.support(ctx)
         allowed = np.array([o in support for o in scenario.outcomes_of(ctx)])
@@ -99,8 +98,10 @@ def _lp_inputs(model: EmpiricalModel):
     """Events, per context the event index of every assignment, the 0/1
     event-by-assignment rows and the event probabilities, after the guard."""
     scenario = model.scenario
-    if scenario.n_global_assignments() > LP_GUARD:
-        raise GuardExceeded("assignment space exceeds LP guard")
+    n = scenario.n_global_assignments()
+    if n > LP_GUARD:
+        raise GuardExceeded(f"{n} global assignments exceed the LP guard "
+                            f"of {LP_GUARD}")
     events, hits, rows = [], [], []
     for ctx, h in _context_hits(scenario):
         outcomes = scenario.outcomes_of(ctx)

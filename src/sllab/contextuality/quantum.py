@@ -59,8 +59,3 @@ def quantum_model_from_state(state, settings=TSIRELSON_SETTINGS) -> EmpiricalMod
 
 def singlet_state() -> np.ndarray:
     return np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
-
-
-def singlet_chsh_model() -> EmpiricalModel:
-    """Singlet at the Tsirelson settings: CHSH = 2*sqrt(2)."""
-    return quantum_model_from_state(singlet_state())

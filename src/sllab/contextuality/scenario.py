@@ -136,12 +136,6 @@ def _parse_prob(value):
     return value
 
 
-def _format_prob(value):
-    if isinstance(value, Rational) and not isinstance(value, int):
-        return str(Fraction(value))
-    return value
-
-
 def _field(doc, key, kind, where):
     """doc[key], checked to be a `kind` (dict or list)."""
     if not isinstance(doc, dict):
@@ -199,19 +193,6 @@ def model_from_dict(doc: dict) -> EmpiricalModel:
             table[outcome] = _parse_prob(val)
         tables[ctx] = table
     return EmpiricalModel(scenario=scenario, tables=tables)
-
-
-def model_to_dict(model: EmpiricalModel) -> dict:
-    tables = []
-    for ctx in model.scenario.contexts:
-        probs = {",".join(str(o) for o in outcome): _format_prob(p)
-                 for outcome, p in sorted(model.tables[ctx].items(), key=str)}
-        tables.append({"context": list(ctx), "probabilities": probs})
-    return {
-        "observables": {k: list(v) for k, v in model.scenario.observables.items()},
-        "contexts": [list(c) for c in model.scenario.contexts],
-        "tables": tables,
-    }
 
 
 def load_model(path) -> EmpiricalModel:

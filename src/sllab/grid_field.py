@@ -225,10 +225,6 @@ class PolarField:
     R: np.ndarray
     S: np.ndarray
     node_mask: np.ndarray
-    hbar: float = 1.0
-
-    def density(self) -> np.ndarray:
-        return self.R ** 2
 
 
 def gaussian_packet(grid: Grid, center=0.0, rho_width=1.0, momentum=0.0,
@@ -246,13 +242,6 @@ def gaussian_packet(grid: Grid, center=0.0, rho_width=1.0, momentum=0.0,
         dxc = coords[ax] - centers[ax]
         arg = arg - dxc ** 2 / (4.0 * rho_width ** 2) + 1j * moms[ax] * coords[ax] / hbar
     return Wavefunction(grid, np.exp(arg), 0.0).normalized()
-
-
-def plane_wave(grid: Grid, k, hbar: float = 1.0) -> Wavefunction:
-    coords = grid.meshgrid()
-    ks = np.broadcast_to(np.atleast_1d(k), (grid.dim,))
-    phase = sum(ks[ax] * coords[ax] for ax in range(grid.dim))
-    return Wavefunction(grid, np.exp(1j * phase), 0.0).normalized()
 
 
 def harmonic_ground_state(grid: Grid, omega: float = 1.0, m: float = 1.0,
@@ -431,15 +420,7 @@ def polar_decompose(psi: Wavefunction, hbar: float = 1.0) -> PolarField:
 
     phase = _unwrap_phase(np.angle(psi.values), mask, int(np.argmax(R)))
     phase = fill_nodes(~np.isfinite(phase), psi.grid.dim, phase)[0]
-    return PolarField(grid=psi.grid, R=R, S=hbar * phase, node_mask=mask, hbar=hbar)
-
-
-def polar_compose(polar: PolarField) -> Wavefunction:
-    """Reassemble R * exp(i S / hbar) and renormalize."""
-    if np.any(polar.R < 0):
-        raise FieldError("amplitude must be nonnegative")
-    values = polar.R * np.exp(1j * polar.S / polar.hbar)
-    return Wavefunction(polar.grid, values, 0.0).normalized()
+    return PolarField(grid=psi.grid, R=R, S=hbar * phase, node_mask=mask)
 
 
 def quantum_potential_from_abs(R: np.ndarray, grid: Grid,

@@ -104,7 +104,7 @@ def write_series_csv(rows, header, path) -> None:
                              else str(v) for v in row])
 
 
-def write_trajectories_csv(ensemble, path, stride: int = 1) -> None:
+def write_trajectories_csv(ensemble, path) -> None:
     """Columns: traj_id, t, x[, y]."""
     dim = ensemble.positions.shape[2]
     header = ["traj_id", "t", "x"] + (["y"] if dim == 2 else [])
@@ -112,13 +112,13 @@ def write_trajectories_csv(ensemble, path, stride: int = 1) -> None:
     # \r\n) from one %-format per path: the time column is written into it
     # once per file and the path id once per path
     rows = "".join(f"{{id}},{t!r}" + ",%r" * dim + "\r\n"
-                   for t in ensemble.times[::stride].tolist())
+                   for t in ensemble.times.tolist())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for i in range(ensemble.n_trajectories):  # one path at a time
             path_rows = rows.replace("{id}", str(i))
             fh.write(path_rows % tuple(
-                ensemble.positions[i, ::stride].ravel().tolist()))
+                ensemble.positions[i].ravel().tolist()))
 
 
 def canonical_json(doc) -> str:

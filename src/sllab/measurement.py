@@ -62,10 +62,6 @@ class PointerModel:
             raise MeasurementError("branch amplitudes must satisfy sum |c|^2 = 1")
         object.__setattr__(self, "c", (complex(c[0]), complex(c[1])))
 
-    def expected_pointer_centers(self):
-        shift = self.coupling * self.x_sep * self.t_coupling
-        return (+shift, -shift)
-
     def initial_state(self) -> Wavefunction:
         x, y = self.grid.meshgrid()
         sys = (self.c[0] * np.exp(-(x - self.x_sep) ** 2 / (4 * self.system_width ** 2))
@@ -117,6 +113,8 @@ def evolve_pointer(model: PointerModel, params: PhysicalParams,
     trace = EvolutionTrace()
 
     def snap(cur, t):
+        if not np.all(np.isfinite(cur.view(float))):
+            raise MeasurementError(f"non-finite field at t={t:.4g}")
         wf = Wavefunction(grid, cur, t)
         trace.snapshots.append(Snapshot(t=t, psi=wf, norm=wf.norm,
                                         energy=0.0, max_q=0.0))
@@ -132,8 +130,6 @@ def evolve_pointer(model: PointerModel, params: PhysicalParams,
             # here, and snapshots transform it into new arrays
             mixed = rows[0]
             step += 1
-            if not np.all(np.isfinite(mixed.view(float))):
-                raise MeasurementError(f"non-finite field at t={step * dt:.4g}")
             if step % snapshot_stride == 0:
                 snap(np.fft.ifft(mixed, axis=1), step * dt)
     if step % snapshot_stride != 0:

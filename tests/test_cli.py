@@ -204,6 +204,13 @@ def _write_model(tmp_path, doc):
 
 _OBS = {"A": [0, 1]}
 _TABLE = {"context": ["A"], "probabilities": {"0": "1/2", "1": "1/2"}}
+# a cycle of 15 binary observables: 2**15 assignments, past the LP guard
+_CYCLE = [[f"O{i}", f"O{(i + 1) % 15}"] for i in range(15)]
+_CYCLE_MODEL = {
+    "observables": {f"O{i}": [0, 1] for i in range(15)},
+    "contexts": _CYCLE,
+    "tables": [{"context": c, "probabilities": {"0,0": "1/2", "1,1": "1/2"}}
+               for c in _CYCLE]}
 
 # (id, document, rejected by validate too): the domain rejects the grid,
 # dt-bound and lambda-list cases, and a model file's contents, only when
@@ -266,6 +273,7 @@ MALFORMED = [
      _model({"observables": _OBS, "contexts": [["A"]],
              "tables": [{"context": ["A"], "probabilities": {"0": [1]}}]}),
      False),
+    ("model_past_lp_guard", _model(_CYCLE_MODEL), False),
 ]
 
 

@@ -42,12 +42,6 @@ class TestModel:
         # tiny cross term from the packet tails crossing x = 0
         assert weight_a == pytest.approx(0.8, abs=1e-3)
 
-    def test_expected_pointer_centers(self):
-        model = _model()
-        up, down = model.expected_pointer_centers()
-        assert up == pytest.approx(6.0 * 2.5 * 0.4)
-        assert down == -up
-
 
 class TestEvolution:
     def test_norm_conserved(self):
@@ -64,8 +58,8 @@ class TestEvolution:
         rho_y = final.density().sum(axis=0) * g.dx
         y = g.axis_coords
         up = float(np.sum(y * rho_y * (y > 0)) / np.sum(rho_y * (y > 0)))
-        expected = model.expected_pointer_centers()[0]
-        assert up == pytest.approx(expected, rel=0.1)
+        # impulsive readout: the pointer moves by g * x_sep * t_coupling
+        assert up == pytest.approx(6.0 * 2.5 * 0.4, rel=0.1)
 
     def test_snapshot_stride_leaves_field_unchanged(self):
         # the field stays in the (x, k_y) representation between steps, so
@@ -97,6 +91,21 @@ class TestEvolution:
             assert psi.tobytes() == before.tobytes()
         finals = [s.psi.values for s in trace.snapshots]
         assert len({id(v) for v in finals}) == len(finals)
+
+    def test_non_finite_field_caught_at_next_snapshot(self, monkeypatch):
+        # a NaN written into the field after step 3 is found when step 4
+        # (t = 0.02, stride 2) is snapshotted, before it is recorded
+        def poisoned(*args, **kwargs):
+            for step, rows in enumerate(split_step(*args, **kwargs), 1):
+                if step == 3:
+                    rows[0, 5, 7] = np.nan
+                yield rows
+
+        split_step = measurement._split_step
+        monkeypatch.setattr(measurement, "_split_step", poisoned)
+        with pytest.raises(MeasurementError,
+                           match=r"non-finite field at t=0\.02$"):
+            evolve_pointer(_model(), QUANTUM, dt=5e-3)
 
 
 class TestBranchAssignment:

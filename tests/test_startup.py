@@ -5,6 +5,7 @@ imported with the package.  The phase unwrap is numpy in every dimension,
 so exporting a 2-D field with nodes loads scipy.ndimage but no
 scipy.sparse."""
 
+import ast
 import json
 import os
 import subprocess
@@ -64,3 +65,18 @@ def test_no_scipy_for_1d_wave_runs(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "fft_at_import": True, "scipy": [], "ndimage_2d": True,
         "sparse_2d": []}
+
+
+def test_exports_resolve():
+    # a stale name in __all__ breaks only `import *`; one in an import
+    # list of __init__.py breaks the package import itself
+    import sllab
+    import sllab.contextuality as ctx
+
+    missing = [n for n in ctx.__all__ if not hasattr(ctx, n)]
+    tree = ast.parse((SRC / "sllab" / "__init__.py").read_text())
+    imported = [a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert imported
+    missing += [n for n in imported if not hasattr(sllab, n)]
+    assert missing == []

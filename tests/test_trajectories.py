@@ -13,7 +13,6 @@ from sllab.grid_field import (
     gaussian_packet,
     harmonic_ground_state,
     make_grid,
-    plane_wave,
 )
 from sllab.measurement import PointerModel, coupling_drift, evolve_pointer
 from sllab.trajectories import (
@@ -44,7 +43,8 @@ class TestVelocityFields:
     def test_plane_wave_velocity(self):
         g = make_grid(1, 2 * np.pi * 8, 256)
         k = 2.0 * np.pi / g.length * 6
-        v, _ = _v_and_b(plane_wave(g, k), np.array([[0.3], [1.7]]))
+        psi = Wavefunction(g, np.exp(1j * k * g.axis_coords)).normalized()
+        v, _ = _v_and_b(psi, np.array([[0.3], [1.7]]))
         assert np.allclose(v, k, atol=1e-9)  # v = hbar k / m
 
     def test_ground_state_zero_current(self):
