@@ -597,6 +597,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         # the domain's own checks: grid size, kinetic dt bound, lambda
         # list, model contents
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:  # sizes whose arrays cannot be allocated
+        raise ConfigError(f"the config's arrays do not fit in memory: "
+                          f"{exc}") from exc
     elapsed = time.time() - t0
 
     summary = {

@@ -25,6 +25,9 @@ from .grid_field import Grid, GridError, PhysicalParams, Wavefunction, \
 
 MAGIC = b"SLF1"
 HEADER_BYTES = 28
+# rows formatted at a time; their strings, not the whole table, set the
+# writer's peak memory
+FIELD_CSV_CHUNK_ROWS = 2048
 
 
 class FormatError(ValueError):
@@ -77,7 +80,14 @@ def read_slf1(path) -> Wavefunction:
 def write_field_csv(psi: Wavefunction, path,
                     params: PhysicalParams | None = None) -> None:
     """One row per grid point: coordinates, Re psi, Im psi, R, S, Q; S
-    (in action units) and Q both take hbar from `params`."""
+    (in action units) and Q both take hbar from `params`.
+
+    The bytes are those of csv.writer: each float is written as its repr,
+    so rows of floats round-trip, and rows end in \\r\\n.  The table is
+    written FIELD_CSV_CHUNK_ROWS rows at a time, and within a chunk each
+    distinct value of a column (keyed by its float64 bits, so 0.0 and -0.0
+    stay apart) is formatted once: the coordinates and the node-filled S
+    and Q repeat many values."""
     grid = psi.grid
     params = params or PhysicalParams.quantum()
     polar = polar_decompose(psi, hbar=params.hbar)
@@ -87,12 +97,21 @@ def write_field_csv(psi: Wavefunction, path,
     vals = psi.values.ravel()
     columns = [c.ravel() for c in coords] + [
         vals.real, vals.imag, polar.R.ravel(), polar.S.ravel(), q.ravel()]
-    # the bytes csv.writer gives: %r writes a float as its repr, so rows of
-    # floats round-trip, and rows end in \r\n
-    row = ",".join(["%r"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
+        for start in range(0, grid.size, FIELD_CSV_CHUNK_ROWS):
+            cells = [_reprs(c[start:start + FIELD_CSV_CHUNK_ROWS])
+                     for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _reprs(values: np.ndarray) -> list:
+    """repr of each float64 of `values`, formatting each bit pattern once."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())),
+                     dtype=object)
+    return texts[inverse].tolist()
 
 
 def write_series_csv(rows, header, path) -> None:

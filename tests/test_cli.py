@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sllab import experiments as ex
 from sllab.cli import main
+from sllab.grid_field import Grid
 
 
 def _cfg(tmp_path, doc, name="cfg.json"):
@@ -293,6 +294,25 @@ class TestMalformedConfigs:
         assert "Traceback" not in err
         assert not (out / "summary.json").exists()
         assert main(["validate", p]) == (2 if in_validate else 0)
+
+    def test_unallocatable_arrays_exit_2(self, tmp_path, capsys,
+                                         monkeypatch):
+        # n = 2**40 passes the grid check and numpy then refuses the 8 TiB
+        # axis; the refusal is stood in for here, so nothing that large is
+        # ever requested
+        def refuse(grid):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array "
+                              "with shape (1099511627776,)")
+
+        monkeypatch.setattr(Grid, "axis_coords", property(refuse))
+        p = _cfg(tmp_path, _doc("lambda_sweep", n=64))
+        out = tmp_path / "out"
+        assert main(["run", p, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 1
+        assert "do not fit in memory: Unable to allocate 8.00 TiB" in err
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()
 
 
 BLOCKS = {

@@ -5,11 +5,14 @@ import struct
 import numpy as np
 import pytest
 
+from sllab import io_formats
 from sllab.grid_field import (
     PhysicalParams,
     Wavefunction,
     gaussian_packet,
     make_grid,
+    polar_decompose,
+    quantum_potential,
 )
 from sllab.io_formats import (
     FormatError,
@@ -135,6 +138,33 @@ class TestCsv:
         assert np.array_equal(two["R"], one["R"])
         assert np.array_equal(two["S"], 2 * one["S"])
         assert np.array_equal(two["Q"], 4 * one["Q"])
+
+    def test_field_csv_bytes_match_per_row_repr(self, tmp_path):
+        # a 2-D table of several chunks whose node-filled S and Q repeat
+        # values, whose re_psi column holds 0.0 and -0.0 in one chunk, and
+        # whose last row of a chunk equals the first row of the next
+        g = make_grid(2, 20.0, 128)
+        chunk = io_formats.FIELD_CSV_CHUNK_ROWS
+        assert g.size > chunk
+        vals = gaussian_packet(g, rho_width=0.5, momentum=1.5).values.copy()
+        flat = vals.reshape(-1)
+        flat[5], flat[6] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        flat[chunk - 1] = flat[chunk] = complex(0.125, -0.375)
+        psi = Wavefunction(g, vals)
+        params = PhysicalParams.quantum()
+        polar = polar_decompose(psi, hbar=params.hbar)
+        q = quantum_potential(polar, params)
+        v = psi.values.ravel()
+        columns = [c.ravel() for c in g.meshgrid()] + [
+            v.real, v.imag, polar.R.ravel(), polar.S.ravel(), q.ravel()]
+        assert len(np.unique(columns[5])) < g.size // 2
+        assert len(np.unique(columns[6])) < g.size // 2
+        rows = ["x,y,re_psi,im_psi,R,S,Q"] + [
+            ",".join("%r" % v for v in row)
+            for row in zip(*(c.tolist() for c in columns))]
+        p = tmp_path / "field.csv"
+        write_field_csv(psi, p, params)
+        assert p.read_bytes() == ("\r\n".join(rows) + "\r\n").encode()
 
     def test_series_csv(self, tmp_path):
         p = tmp_path / "s.csv"

@@ -252,6 +252,24 @@ class TestNelson:
         r = np.corrcoef(before, last)[0, 1]
         assert abs(r - rho) < 5.0 * (1.0 - rho ** 2) / np.sqrt(n)
 
+    def test_off_centre_gaussian_relaxes_by_its_ar1_law(self):
+        # started from N(m0, s0) in the harmonic ground state's drift, the
+        # AR(1) chain stays Gaussian with mean m0 a^k and variance
+        # var + (s0 - var) a^2k after k steps, a = 1 - omega dt
+        omega, dt, n, m0, s0 = 1.0, 0.2, 40_000, 1.5, 0.1
+        steps = [1, 3, 6, 12, 24]
+        psi = harmonic_ground_state(make_grid(1, 20.0, 256), omega=omega)
+        x0 = np.random.default_rng(8).normal(m0, np.sqrt(s0), (n, 1))
+        ens = integrate_nelson(static_trace(psi), x0, dt, QUANTUM, 23,
+                               steps=steps[-1], keep=steps)
+        var, a = ou_euler_law(omega, dt, QUANTUM.nu)
+        for k, q in zip(steps, ens.positions[:, :, 0].T):
+            mean_k = m0 * a ** k
+            var_k = var + (s0 - var) * a ** (2 * k)
+            assert abs(q.mean() - mean_k) < 5.0 * np.sqrt(var_k / n), k
+            assert abs(q.var(ddof=1) - var_k) < \
+                5.0 * var_k * np.sqrt(2.0 / (n - 1)), k
+
     def test_config_validation(self):
         # a seed that is not an int in [0, 2**64) used to run as int(seed)
         # or overflow inside the step loop
