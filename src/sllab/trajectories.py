@@ -17,10 +17,16 @@ draw each noise row once.  Noise is drawn through one Philox bit
 generator re-keyed to each particle's stream, which costs less than
 building a generator per particle and gives the same values; between
 blocks a stream keeps each particle's generator state in one row of a
-uint64 array.  Its rows come from one step-major buffer per stream,
-refilled for each of the equal blocks of at most _NOISE_BLOCK steps and
-scaled by the noise amplitude as it is filled: a row is contiguous and
-valid until the next one is drawn, so a transport uses each row at once.
+uint64 array.  A stream is drawn in equal blocks of at most _NOISE_BLOCK
+steps, scaled by the noise amplitude as they are filled: a row is
+contiguous and valid until the next one is drawn, so a transport uses
+each row at once.  A one-block stream is drawn in place into one
+step-major buffer.  A longer one is drawn by a forked producer process,
+one block ahead, into two slots of a shared anonymous mmap, so the draws
+run on another core while the transport steps (a thread would hold the
+interpreter lock); the child is reaped before the stream ends, and
+`transport` closes every stream when its step loop ends or raises.  This
+needs `os.fork`.
 
 The loop records positions only at the steps a schedule (`keep`) names,
 so memory grows with the ensembles, not with the step count.
@@ -39,7 +45,11 @@ then, and whether one has a node corner, for the step's first gather.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
+import os
+import signal
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -55,7 +65,7 @@ from .grid_field import (
 )
 from .dynamics import EvolutionTrace
 
-_NOISE_BLOCK = 512  # most time steps of noise drawn per particle at once
+_NOISE_BLOCK = 200  # most time steps of noise drawn per particle at once
 _NOISE_TILE = 64  # particles drawn into the scratch before one copy-in
 
 
@@ -484,18 +494,22 @@ def transport(trace: EvolutionTrace, runs: Sequence, dt: float,
 
     record(0)
     t0 = float(all_times[0])
-    for i in range(nsteps):
-        t = t0 + i * dt
-        vf = interp.velocity_at(t)
-        # a noise row is valid only until its stream's next row is drawn
-        kicks = {key: next(rows) for key, rows in noise.items()}
-        for k, advance in enumerate(advances):
-            cells = _cells(grid, qs[k])
-            codes = vf.lookup(cells)
-            vf.flag(cells, codes, flags[k])
-            qs[k] = advance(t, vf, qs[k], cells, codes,
-                            kicks.get(streams[k]))
-        record(i + 1)
+    try:
+        for i in range(nsteps):
+            t = t0 + i * dt
+            vf = interp.velocity_at(t)
+            # a noise row is valid only until its stream's next row is drawn
+            kicks = {key: next(rows) for key, rows in noise.items()}
+            for k, advance in enumerate(advances):
+                cells = _cells(grid, qs[k])
+                codes = vf.lookup(cells)
+                vf.flag(cells, codes, flags[k])
+                qs[k] = advance(t, vf, qs[k], cells, codes,
+                                kicks.get(streams[k]))
+            record(i + 1)
+    finally:
+        for rows in noise.values():
+            rows.close()  # ends a stream's producer process at once
 
     times = all_times[cols]
     return [TrajectoryEnsemble(times=times, positions=pos, kind=rule.kind,
@@ -524,22 +538,116 @@ def _philox_noise(seed: int, npart: int, nsteps: int, dim: int,
     """Standard normal increments times `scale`, one (npart, dim) row per
     step, from particle i's Philox stream keyed by (seed, i), so a path does
     not depend on the ensemble size.  The steps are drawn in the fewest
-    blocks of at most _NOISE_BLOCK steps, of equal width give or take one.
+    blocks of at most _NOISE_BLOCK steps, of equal width give or take one
+    (`_noise_blocks`).  Each row is C-contiguous and valid only until the
+    next row is requested.
 
-    Every stream is drawn through one bit generator, set before particle
-    i's draws from one reused state dict of Python ints: key [seed, i] and
-    either the start state or the state i had at the end of the last block.
-    That state is read back only when another block follows, into one
-    (npart, 9) uint64 array (counter, buffer, buffer position).  The rows
-    are the steps of one step-major buffer that every block refills, so each
-    is C-contiguous and valid only until the next row is requested.  A block
-    is drawn _NOISE_TILE particles at a time into a small particle-major
-    scratch and copied in transposed and scaled.
+    A one-block stream is drawn in place, into one step-major buffer, before
+    its first row is handed out: there is nothing to overlap.  A longer
+    stream forks one producer process (`_forked_noise`) that draws the
+    blocks into two slots of a shared anonymous mmap, one block ahead of
+    the rows handed out, so the draws, which hold the interpreter lock, run
+    on another core while the caller steps; a thread would share the lock.
+    The bytes are the same either way.  This needs `os.fork`.
     """
     if nsteps == 0:
         return
     nblocks = -(-nsteps // _NOISE_BLOCK)
     bounds = [nsteps * k // nblocks for k in range(nblocks + 1)]
+    shape = (-(-nsteps // nblocks), npart, dim)
+    if nblocks > 1:
+        yield from _forked_noise(seed, scale, bounds, shape)
+        return
+    rows = np.empty(shape)
+    next(_noise_blocks(seed, scale, bounds, [rows]))
+    yield from rows
+
+
+def _forked_noise(seed: int, scale: float, bounds: list, shape: tuple):
+    """The rows of a stream of more than one block, drawn by a forked child.
+
+    The child runs `_noise_blocks` into two slots of `shape` in one shared
+    anonymous mmap, block b into slot b % 2, and writes a byte to one pipe
+    when a block is full; before block b >= 2 it waits for a byte on a
+    second pipe saying slot b % 2 is free.  The parent frees a slot as soon
+    as the first row of the next block is requested.  The child touches
+    only numpy.random and the slots, and ends with os._exit; the parent
+    reaps it once the last block is full, or kills and reaps it when the
+    rows are closed early or an error ends them.  A child that ends before
+    its last block is a RuntimeError with its exit status.  (Python 3.12
+    and later warn on a fork while other threads run, such as scipy's
+    OpenBLAS pool; the child calls no code of theirs.)
+    """
+    nblocks = len(bounds) - 1
+    shared = mmap.mmap(-1, 2 * math.prod(shape) * 8)
+    slots = np.frombuffer(shared).reshape((2,) + shape)
+    full_r, full_w = os.pipe()
+    free_r, free_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (full_r, full_w, free_r, free_w):
+            os.close(fd)
+        raise
+    if pid == 0:  # the producer; nothing may return past os._exit
+        status = 1
+        try:
+            os.close(full_r)
+            os.close(free_w)
+            blocks = _noise_blocks(seed, scale, bounds, slots)
+            for b in range(nblocks):
+                if b >= 2 and not os.read(free_r, 1):
+                    break  # the parent closed the stream
+                next(blocks)
+                os.write(full_w, b"\0")
+            status = 0
+        except BaseException:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(status)
+    os.close(full_w)
+    os.close(free_r)
+    reaped = False
+    try:
+        for b in range(nblocks):
+            try:
+                if 0 < b < nblocks - 1:
+                    os.write(free_w, b"\0")  # block b - 1's slot
+                full = os.read(full_r, 1)
+            except BrokenPipeError:
+                full = b""
+            if not full or b == nblocks - 1:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                reaped = True
+                if not full or status:
+                    raise RuntimeError(
+                        f"noise producer (pid {pid}) ended with exit status "
+                        f"{status} at block {b} of {nblocks}")
+            yield from slots[b % 2, :bounds[b + 1] - bounds[b]]
+    finally:
+        os.close(full_r)
+        os.close(free_w)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _noise_blocks(seed: int, scale: float, bounds: list,
+                  slots: Sequence[np.ndarray]):
+    """Draw the blocks of a stream in turn, block b (steps bounds[b] to
+    bounds[b + 1]) into the first rows of slots[b % len(slots)], each slot a
+    step-major (steps, npart, dim) array, and yield after each.
+
+    Every stream is drawn through one bit generator, set before particle
+    i's draws from one reused state dict of Python ints: key [seed, i] and
+    either the start state or the state i had at the end of the last block.
+    That state is read back only when another block follows, into one
+    (npart, 9) uint64 array (counter, buffer, buffer position).  A block
+    is drawn _NOISE_TILE particles at a time into a small particle-major
+    scratch and copied in transposed and scaled.
+    """
+    nblocks = len(bounds) - 1
+    width_max, npart, dim = slots[0].shape
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
     key = [seed, 0]
@@ -548,9 +656,9 @@ def _philox_noise(seed: int, npart: int, nsteps: int, dim: int,
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
              "uinteger": 0}
     carried = np.empty((npart, 9), np.uint64) if nblocks > 1 else None
-    rows = np.empty((-(-nsteps // nblocks), npart, dim))
-    tile = np.empty((min(_NOISE_TILE, npart), len(rows), dim))
+    tile = np.empty((min(_NOISE_TILE, npart), width_max, dim))
     for b in range(nblocks):
+        rows = slots[b % len(slots)]
         width = bounds[b + 1] - bounds[b]
         more = b + 1 < nblocks
         for lo in range(0, npart, _NOISE_TILE):
@@ -570,7 +678,7 @@ def _philox_noise(seed: int, npart: int, nsteps: int, dim: int,
                 _save_states(ends, carried[lo:hi])
             np.multiply(tile[:hi - lo, :width].swapaxes(0, 1), scale,
                         out=rows[:width, lo:hi])
-        yield from rows[:width]
+        yield
 
 
 def _save_states(states: list, out: np.ndarray) -> None:

@@ -1,3 +1,5 @@
+import itertools
+import os
 import tracemalloc
 
 import numpy as np
@@ -270,6 +272,27 @@ class TestNelson:
             assert abs(q.var(ddof=1) - var_k) < \
                 5.0 * var_k * np.sqrt(2.0 / (n - 1)), k
 
+    def test_off_centre_gaussian_relaxes_by_its_ar1_law_in_2d(self):
+        # in the isotropic 2-D well each axis is the same AR(1) chain, read
+        # through the 2-D gather and node flags; 300 steps are two noise
+        # blocks, so steps 151 and 300 come from the producer's second
+        omega, dt, n, s0 = 1.0, 0.2, 20_000, 0.1
+        m0 = np.array([1.5, -1.0])
+        steps = [1, 3, 6, 12, 24, 151, 300]
+        psi = harmonic_ground_state(make_grid(2, 20.0, 64), omega=omega)
+        x0 = np.random.default_rng(9).normal(m0, np.sqrt(s0), (n, 2))
+        ens = integrate_nelson(static_trace(psi), x0, dt, QUANTUM, 29,
+                               steps=steps[-1], keep=steps)
+        var, a = ou_euler_law(omega, dt, QUANTUM.nu)
+        for k, q in zip(steps, ens.positions.transpose(1, 0, 2)):
+            mean_k = m0 * a ** k
+            var_k = var + (s0 - var) * a ** (2 * k)
+            assert np.all(abs(q.mean(axis=0) - mean_k)
+                          < 5.0 * np.sqrt(var_k / n)), k
+            assert np.all(abs(q.var(axis=0, ddof=1) - var_k)
+                          < 5.0 * var_k * np.sqrt(2.0 / (n - 1))), k
+        assert not ens.node_flags.any()
+
     def test_config_validation(self):
         # a seed that is not an int in [0, 2**64) used to run as int(seed)
         # or overflow inside the step loop
@@ -497,10 +520,12 @@ class TestNoise:
             assert _bits(rows[:, i]) == _bits(
                 scale * gen.standard_normal((nsteps, dim)))
 
-    # one block, two, three and six: states carried across block boundaries
-    # and blocks of equal width give or take a step (513 = 256 + 257,
-    # 1000 = 500 + 500, 1025 = 341 + 342 + 342)
-    @pytest.mark.parametrize("nsteps", [60, 513, 1000, 1025, 1100, 2600])
+    # one block, drawn in place, and two to thirteen from the producer:
+    # states carried across block boundaries, blocks of equal width give or
+    # take a step (201 = 100 + 101, 513 = 171 * 3, 1025 = 170 + 171 * 5),
+    # two blocks with no slot freed and more that reuse both slots
+    @pytest.mark.parametrize("nsteps", [60, 201, 400, 513, 1000, 1025, 1100,
+                                        2600])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_streams_equal_per_particle_generators(self, nsteps, dim):
         self._check_streams(11, 7, nsteps, dim)
@@ -522,19 +547,92 @@ class TestNoise:
         assert list(_philox_noise(3, 4, 0, 1, 1.0)) == []
 
     def test_one_block_resident(self):
-        # the step-major buffer, the tile and one (npart, 9) uint64 array of
-        # carried states; no per-particle state objects
+        # a multi-block stream's rows live in the producer's two shared
+        # slots, together no larger than one block of 512 steps, and the
+        # parent allocates no block, tile or carried states of its own
+        # (tracemalloc cannot see the mmap, so the slots are measured as
+        # the buffer behind the rows)
         npart, dim = 2000, 1
         block_bytes = 512 * npart * dim * 8
         list(_philox_noise(3, 1, 1, dim, 1.0))  # numpy's lazy imports
+        buffers = {}
         tracemalloc.start()
         try:
-            for _ in _philox_noise(3, npart, 3 * 512, dim, 1.0):
-                pass
+            for row in _philox_noise(3, npart, 3 * 512, dim, 1.0):
+                base = row
+                while isinstance(base, np.ndarray) and base.base is not None:
+                    base = base.base
+                buffers[id(base)] = base
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * block_bytes
+        assert sum(memoryview(b).nbytes for b in buffers.values()) \
+            <= block_bytes
+        assert peak < 0.01 * block_bytes
+
+    # a stream closed after its first row, mid-stream, and one drained to
+    # its last row, whose producer is reaped before that row is handed out
+    @pytest.mark.parametrize("taken", [1, 300, 1100])
+    def test_no_producer_left(self, taken):
+        rows = _philox_noise(3, 5, 1100, 1, 1.0)
+        for _ in itertools.islice(rows, taken):
+            pass
+        if taken == 1100:
+            _assert_no_child()
+        rows.close()
+        _assert_no_child()
+
+    def test_producer_that_dies_is_an_error(self, monkeypatch, capfd):
+        draw = trajectories._noise_blocks
+
+        def dies_in_block_1(*args):
+            blocks = draw(*args)
+            yield next(blocks)
+            raise ArithmeticError("no block 1")
+
+        monkeypatch.setattr(trajectories, "_noise_blocks", dies_in_block_1)
+        rows = _philox_noise(3, 5, 1100, 1, 1.0)
+        with pytest.raises(RuntimeError, match=r"noise producer \(pid \d+\) "
+                           r"ended with exit status 1 at block 1 of 6"):
+            for _ in rows:
+                pass
+        _assert_no_child()
+        assert "ArithmeticError: no block 1" in capfd.readouterr().err
+
+    def test_error_in_a_step_ends_the_producer(self):
+        # the producer is reaped as the error leaves transport, not when
+        # the traceback, which holds the stream, is collected: `err` keeps
+        # it alive here
+        psi = harmonic_ground_state(make_grid(1, 20.0, 64))
+        calls = []
+
+        def extra(t, q):
+            if len(calls) == 300:
+                raise ArithmeticError("step 300")
+            calls.append(t)
+            return 0.0
+
+        with pytest.raises(ArithmeticError, match="step 300") as err:
+            integrate_nelson(static_trace(psi), np.zeros((5, 1)), 1e-2,
+                             QUANTUM, 0, steps=1100, drift_extra=extra)
+        _assert_no_child()
+        assert "extra" in str(err.traceback[-1])
+
+    def test_two_producers_in_one_transport(self):
+        trace, q0, dt, seed, _, steps, _ = _static_case()
+        rules = [StepRule("nelson", rng_seed=s) for s in (seed, seed + 1)]
+        got = transport(trace, [(q0, rule) for rule in rules], dt, QUANTUM,
+                        steps)
+        for ens, rule in zip(got, rules):
+            _assert_same(ens, integrate_nelson(trace, q0, dt, QUANTUM,
+                                               rule.rng_seed, steps=steps))
+        _assert_no_child()
+
+
+def _assert_no_child():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _node_line_case():
