@@ -14,19 +14,19 @@ lockstep, each with its own initial positions and step rule, and each
 bit for bit as it would run alone: every velocity field is built once per
 time for all of them, and rules that share a seed and an ensemble size
 draw each noise row once.  Noise is drawn through one Philox bit
-generator re-keyed to each particle's stream, which costs less than
-building a generator per particle and gives the same values; between
-blocks a stream keeps each particle's generator state in one row of a
-uint64 array.  A stream is drawn in equal blocks of at most _NOISE_BLOCK
-steps, scaled by the noise amplitude as they are filled: a row is
-contiguous and valid until the next one is drawn, so a transport uses
-each row at once.  A one-block stream is drawn in place into one
-step-major buffer.  A longer one is drawn by a forked producer process,
-one block ahead, into two slots of a shared anonymous mmap, so the draws
-run on another core while the transport steps (a thread would hold the
-interpreter lock); the child is reaped before the stream ends, and
-`transport` closes every stream when its step loop ends or raises.  This
-needs `os.fork`.
+generator, set to each particle's stream by one copy of a 12-word uint64
+row into a slice of its state struct, whose private layout is checked
+once per stream; this costs less than a generator per particle or numpy's
+state dicts and gives the same values.  A stream is drawn in equal blocks
+of at most _NOISE_BLOCK = 100 steps, scaled by the noise amplitude as
+they are filled: a row is contiguous and valid until the next one is
+drawn, so a transport uses each row at once.  A one-block stream is drawn
+in place into one step-major buffer.  A longer one is drawn by a forked
+producer process, one block ahead, into two slots of a shared anonymous
+mmap, so the draws run on another core while the transport steps (a
+thread would hold the interpreter lock); the child is reaped before the
+stream ends, and `transport` closes every stream when its step loop ends
+or raises.  This needs `os.fork`.
 
 The loop records positions only at the steps a schedule (`keep`) names,
 so memory grows with the ensembles, not with the step count.
@@ -44,6 +44,7 @@ then, and whether one has a node corner, for the step's first gather.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import numbers
@@ -65,7 +66,7 @@ from .grid_field import (
 )
 from .dynamics import EvolutionTrace
 
-_NOISE_BLOCK = 200  # most time steps of noise drawn per particle at once
+_NOISE_BLOCK = 100  # most time steps of noise drawn per particle at once
 _NOISE_TILE = 64  # particles drawn into the scratch before one copy-in
 
 
@@ -538,9 +539,11 @@ def _philox_noise(seed: int, npart: int, nsteps: int, dim: int,
     """Standard normal increments times `scale`, one (npart, dim) row per
     step, from particle i's Philox stream keyed by (seed, i), so a path does
     not depend on the ensemble size.  The steps are drawn in the fewest
-    blocks of at most _NOISE_BLOCK steps, of equal width give or take one
-    (`_noise_blocks`).  Each row is C-contiguous and valid only until the
-    next row is requested.
+    blocks of at most _NOISE_BLOCK (100) steps, of equal width give or take
+    one, each particle's state carried between them as one 12-word row
+    (`_noise_blocks`); numpy's Philox layout is checked once per stream, and
+    another one is a RuntimeError.  Each row is C-contiguous and valid only
+    until the next row is requested.
 
     A one-block stream is drawn in place, into one step-major buffer, before
     its first row is handed out: there is nothing to overlap.  A longer
@@ -638,58 +641,73 @@ def _noise_blocks(seed: int, scale: float, bounds: list,
     bounds[b + 1]) into the first rows of slots[b % len(slots)], each slot a
     step-major (steps, npart, dim) array, and yield after each.
 
-    Every stream is drawn through one bit generator, set before particle
-    i's draws from one reused state dict of Python ints: key [seed, i] and
-    either the start state or the state i had at the end of the last block.
-    That state is read back only when another block follows, into one
-    (npart, 9) uint64 array (counter, buffer, buffer position).  A block
-    is drawn _NOISE_TILE particles at a time into a small particle-major
-    scratch and copied in transposed and scaled.
+    One bit generator draws every stream; its whole state is a 12-word slice
+    (`_philox_state`) set by one copy of particle i's uint64 row: key
+    (seed, i) and an empty buffer, or the state i ended the last block with.
+    A multi-block stream keeps these rows in one (npart, 12) array, copied
+    back from the slice while another block follows; a one-block stream
+    builds them per tile.  A block is drawn _NOISE_TILE particles at a time
+    into a small particle-major scratch and copied in transposed and scaled.
     """
     nblocks = len(bounds) - 1
     width_max, npart, dim = slots[0].shape
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    key = [seed, 0]
-    inner = {"counter": (0, 0, 0, 0), "key": key}
-    state = {"bit_generator": "Philox", "state": inner,
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
-             "uinteger": 0}
-    carried = np.empty((npart, 9), np.uint64) if nblocks > 1 else None
-    tile = np.empty((min(_NOISE_TILE, npart), width_max, dim))
+    live = _philox_state(bitgen)
+    ntile = min(_NOISE_TILE, npart)
+    states = np.zeros((npart if nblocks > 1 else ntile, 12), np.uint64)
+    states[:, 0] = 4  # an empty buffer
+    states[:, 6] = seed
+    tile = np.empty((ntile, width_max, dim))
     for b in range(nblocks):
         rows = slots[b % len(slots)]
         width = bounds[b + 1] - bounds[b]
         more = b + 1 < nblocks
+        outs = [tile[j, :width] for j in range(ntile)]
         for lo in range(0, npart, _NOISE_TILE):
             hi = min(lo + _NOISE_TILE, npart)
-            saved = carried[lo:hi].tolist() if b > 0 else [None] * (hi - lo)
-            ends = []
-            for j, prev in zip(range(lo, hi), saved):
-                key[1] = j
-                if prev is not None:
-                    inner["counter"], state["buffer"] = prev[:4], prev[4:8]
-                    state["buffer_pos"] = prev[8]
-                bitgen.state = state
-                gen.standard_normal(out=tile[j - lo, :width])
+            tile_states = states[lo:hi] if nblocks > 1 else states[:hi - lo]
+            if b == 0:
+                tile_states[:, 7] = range(lo, hi)
+            for state, out in zip(tile_states, outs):
+                live[...] = state
+                gen.standard_normal(out=out)
                 if more:
-                    ends.append(bitgen.state)
-            if more:
-                _save_states(ends, carried[lo:hi])
+                    state[...] = live
             np.multiply(tile[:hi - lo, :width].swapaxes(0, 1), scale,
                         out=rows[:width, lo:hi])
         yield
 
 
-def _save_states(states: list, out: np.ndarray) -> None:
-    """Copy Philox `bitgen.state` dicts into the rows of an (n, 9) uint64
-    array: counter, buffer, buffer position.  The rest is known: the key,
-    and has_uint32 = uinteger = 0, which standard normals never change.
-    One copy of their bytes costs less than a numpy assignment per state."""
-    raw = b"".join([st["state"]["counter"].tobytes() + st["buffer"].tobytes()
-                    for st in states])
-    out[:, :8] = np.frombuffer(raw, np.uint64).reshape(-1, 8)
-    out[:, 8] = [st["buffer_pos"] for st in states]
+_PHILOX_KEY_AT, _PHILOX_COUNTER_AT = 64, 80  # byte offsets in the struct
+
+
+def _philox_state(bitgen: np.random.Philox) -> np.ndarray:
+    """The whole state of `bitgen` as a writable (12,) uint64 view of its
+    struct: buffer position, buffer[4], has_uint32 | uinteger << 32,
+    key[2], counter[4].  The layout is numpy's private one, so it is checked
+    first: the key and counter pointers before any word is mapped, then a
+    state set through numpy's setter must read back through the slice, and
+    one written through the slice must survive numpy's getter and setter.
+    A mismatch is a RuntimeError."""
+    addr = bitgen.ctypes.state_address
+    if tuple((ctypes.c_uint64 * 2).from_address(addr)) == (
+            addr + _PHILOX_COUNTER_AT, addr + _PHILOX_KEY_AT):
+        live = np.frombuffer((ctypes.c_uint64 * 14).from_address(addr),
+                             np.uint64)[2:]
+        bitgen.state = {
+            "bit_generator": "Philox", "buffer_pos": 3, "buffer": (7, 8, 9, 10),
+            "has_uint32": 1, "uinteger": 2 ** 31,
+            "state": {"key": (2 ** 64 - 1, 6), "counter": (1, 2, 3, 4)}}
+        if live.tolist() == [3, 7, 8, 9, 10, 2 ** 63 + 1, 2 ** 64 - 1, 6,
+                             1, 2, 3, 4]:
+            live[...] = written = [2, 11, 12, 13, 14, 0, 15, 16, 17, 18, 19,
+                                   2 ** 63]
+            bitgen.state = bitgen.state
+            if live.tolist() == written:
+                return live
+    raise RuntimeError("numpy's Philox layout is not the one its 12-word "
+                       "state slice expects")
 
 
 def integrate_nelson(trace: EvolutionTrace, q0_list, dt: float,

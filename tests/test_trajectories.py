@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.special import ndtr
+
 from sllab import trajectories
 from sllab.dynamics import EvolutionConfig, evolve
+from sllab.ensemble import coarse_grained_h
 from sllab.grid_field import (
     PhysicalParams,
     PotentialSpec,
@@ -274,8 +277,9 @@ class TestNelson:
 
     def test_off_centre_gaussian_relaxes_by_its_ar1_law_in_2d(self):
         # in the isotropic 2-D well each axis is the same AR(1) chain, read
-        # through the 2-D gather and node flags; 300 steps are two noise
-        # blocks, so steps 151 and 300 come from the producer's second
+        # through the 2-D gather and node flags; 300 steps are three noise
+        # blocks, so steps 151 and 300 come from the producer's second and
+        # third
         omega, dt, n, s0 = 1.0, 0.2, 20_000, 0.1
         m0 = np.array([1.5, -1.0])
         steps = [1, 3, 6, 12, 24, 151, 300]
@@ -292,6 +296,35 @@ class TestNelson:
             assert np.all(abs(q.var(axis=0, ddof=1) - var_k)
                           < 5.0 * var_k * np.sqrt(2.0 / (n - 1))), k
         assert not ens.node_flags.any()
+
+    def test_coarse_grained_h_stays_below_the_exact_relative_entropy(self):
+        # coarse graining cannot raise a relative entropy, so H of the AR(1)
+        # chain's N(m_k, v_k) against the ground state's N(0, 1/2 omega)
+        # stays below their exact KL; the sample's H may exceed its binned
+        # law's by the plug-in bias (bins - 1)/2n plus 5 sigma, sigma from
+        # the delta method and the bias's own chi-square spread
+        omega, dt, n, m0, s0, bins = 1.0, 0.2, 40_000, 1.5, 0.1, 40
+        steps = [0, 1, 3, 6, 12, 24]
+        grid = make_grid(1, 20.0, 256)
+        psi = harmonic_ground_state(grid, omega=omega)
+        x0 = np.random.default_rng(10).normal(m0, np.sqrt(s0), (n, 1))
+        ens = integrate_nelson(static_trace(psi), x0, dt, QUANTUM, 31,
+                               steps=steps[-1], keep=steps)
+        var, a = ou_euler_law(omega, dt, QUANTUM.nu)
+        s = 1.0 / (2.0 * omega)
+        edges = np.linspace(-10.0, 10.0, bins + 1)
+        q_bins = np.diff(ndtr(edges / np.sqrt(s)))
+        for k, q in zip(steps, ens.positions[:, :, 0].T):
+            m_k, v_k = m0 * a ** k, var + (s0 - var) * a ** (2 * k)
+            kl = 0.5 * (v_k / s + m_k ** 2 / s - 1.0 - np.log(v_k / s))
+            p_bins = np.diff(ndtr((edges - m_k) / np.sqrt(v_k)))
+            live = p_bins > 1e-12
+            log_ratio = np.log(p_bins[live] / q_bins[live])
+            h_bins = p_bins[live] @ log_ratio
+            sigma = np.sqrt((p_bins[live] @ log_ratio ** 2 - h_bins ** 2) / n
+                            + (bins - 1) / (2.0 * n * n))
+            h = coarse_grained_h(q, np.abs(psi.values) ** 2, grid, bins)
+            assert h <= kl + (bins - 1) / (2.0 * n) + 5.0 * sigma, k
 
     def test_config_validation(self):
         # a seed that is not an int in [0, 2**64) used to run as int(seed)
@@ -520,25 +553,28 @@ class TestNoise:
             assert _bits(rows[:, i]) == _bits(
                 scale * gen.standard_normal((nsteps, dim)))
 
-    # one block, drawn in place, and two to thirteen from the producer:
-    # states carried across block boundaries, blocks of equal width give or
-    # take a step (201 = 100 + 101, 513 = 171 * 3, 1025 = 170 + 171 * 5),
-    # two blocks with no slot freed and more that reuse both slots
-    @pytest.mark.parametrize("nsteps", [60, 201, 400, 513, 1000, 1025, 1100,
-                                        2600])
+    # at 100-step blocks: less than one block and exactly one, drawn in
+    # place; one block plus one step (101 = 50 + 51), two blocks with no
+    # slot freed, and three to twenty-six from the producer, states carried
+    # across block boundaries, blocks of equal width give or take a step
+    # (201 = 67 * 3, 513 = 85 * 3 + 86 * 3, 1025 = 93 * 9 + 94 * 2),
+    # reusing both slots
+    @pytest.mark.parametrize("nsteps", [60, 100, 101, 200, 201, 400, 513,
+                                        1000, 1025, 1100, 2600])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_streams_equal_per_particle_generators(self, nsteps, dim):
         self._check_streams(11, 7, nsteps, dim)
 
-    # two full tiles of particles and a partial one, one block or a
-    # partial last block
-    @pytest.mark.parametrize("nsteps", [60, 1100])
+    # two full tiles of particles and a partial one, at 100-step blocks:
+    # less than one block and exactly one, one block plus one step, two
+    # blocks with no slot freed, and eleven that reuse both slots
+    @pytest.mark.parametrize("nsteps", [60, 100, 101, 200, 1100])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_partial_tile(self, nsteps, dim):
         self._check_streams(5, 150, nsteps, dim)
 
-    # the largest seed, which the reused state dict hands the generator as a
-    # Python int in its key list, in the first block and after a carry
+    # the largest seed, a full key word of the start rows, in the first
+    # block and after a carry
     @pytest.mark.parametrize("dim", [1, 2])
     def test_largest_seed(self, dim):
         self._check_streams(2 ** 64 - 1, 3, 1025, dim)
@@ -593,11 +629,81 @@ class TestNoise:
         monkeypatch.setattr(trajectories, "_noise_blocks", dies_in_block_1)
         rows = _philox_noise(3, 5, 1100, 1, 1.0)
         with pytest.raises(RuntimeError, match=r"noise producer \(pid \d+\) "
-                           r"ended with exit status 1 at block 1 of 6"):
+                           r"ended with exit status 1 at block 1 of 11"):
             for _ in rows:
                 pass
         _assert_no_child()
         assert "ArithmeticError: no block 1" in capfd.readouterr().err
+
+    def test_one_block_carries_no_states(self):
+        # a one-block stream builds its start rows per tile of particles:
+        # beside its step rows it allocates far less than (npart, 12)
+        # carried states of 96 B each
+        npart = 20_000
+        list(_philox_noise(3, 1, 1, 1, 1.0))  # numpy's lazy imports
+        tracemalloc.start()
+        try:
+            list(_philox_noise(3, npart, 1, 1, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < npart * 8 + 0.1 * npart * 96
+
+    # a state set through numpy's setter reads back through the 12-word
+    # slice, and one written through the slice through numpy's getter, at
+    # every buffer position, with full-width words; either way the draws
+    # that follow are those of a generator set through the setter alone
+    @pytest.mark.parametrize("buffer_pos", range(5))
+    def test_state_slice_agrees_with_numpy(self, buffer_pos):
+        rng = np.random.default_rng(buffer_pos)
+        words = rng.integers(0, 2 ** 64, 12, np.uint64, endpoint=False)
+        words[0], words[5] = buffer_pos, 0
+        words[6] = 2 ** 64 - 1  # the largest seed
+        state = {"bit_generator": "Philox", "buffer_pos": buffer_pos,
+                 "buffer": words[1:5], "has_uint32": 0, "uinteger": 0,
+                 "state": {"key": words[6:8], "counter": words[8:]}}
+        expected = np.random.Philox()
+        expected.state = state
+        expected = expected.random_raw(9)
+
+        bitgen = np.random.Philox()
+        live = trajectories._philox_state(bitgen)
+        bitgen.state = state
+        assert live.tolist() == words.tolist()
+        assert bitgen.random_raw(9).tolist() == expected.tolist()
+
+        bitgen = np.random.Philox()
+        live = trajectories._philox_state(bitgen)
+        live[...] = words
+        assert _state_words(bitgen.state) == words.tolist()
+        assert bitgen.random_raw(9).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("offset", ["_PHILOX_KEY_AT",
+                                        "_PHILOX_COUNTER_AT"])
+    def test_other_philox_layout_is_an_error(self, monkeypatch, offset):
+        # pointer words other than the expected ones stop the slice before
+        # it writes: the generator's state is untouched
+        monkeypatch.setattr(trajectories, offset,
+                            getattr(trajectories, offset) + 8)
+        bitgen = np.random.Philox(key=np.array([5, 6], np.uint64))
+        bitgen.random_raw(3)
+        before = bitgen.state
+        with pytest.raises(RuntimeError, match="numpy's Philox layout"):
+            trajectories._philox_state(bitgen)
+        assert _state_words(bitgen.state) == \
+            _state_words(before)
+        with pytest.raises(RuntimeError, match="numpy's Philox layout"):
+            next(_philox_noise(3, 5, 60, 1, 1.0))  # drawn in place
+
+    def test_producer_that_meets_another_layout_is_an_error(
+            self, monkeypatch, capfd):
+        monkeypatch.setattr(trajectories, "_PHILOX_KEY_AT", 72)
+        rows = _philox_noise(3, 5, 1100, 1, 1.0)
+        with pytest.raises(RuntimeError, match=r"noise producer \(pid \d+\) "
+                           r"ended with exit status 1 at block 0 of 11"):
+            next(rows)
+        _assert_no_child()
+        assert "numpy's Philox layout" in capfd.readouterr().err
 
     def test_error_in_a_step_ends_the_producer(self):
         # the producer is reaped as the error leaves transport, not when
@@ -627,6 +733,15 @@ class TestNoise:
             _assert_same(ens, integrate_nelson(trace, q0, dt, QUANTUM,
                                                rule.rng_seed, steps=steps))
         _assert_no_child()
+
+
+def _state_words(state: dict) -> list:
+    """A Philox `bitgen.state` dict as the 12 words of its state slice."""
+    inner = state["state"]
+    return [int(w) for w in (
+        state["buffer_pos"], *state["buffer"],
+        state["has_uint32"] | state["uinteger"] << 32,
+        *inner["key"], *inner["counter"])]
 
 
 def _assert_no_child():
