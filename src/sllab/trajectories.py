@@ -540,10 +540,9 @@ def _philox_noise(seed: int, npart: int, nsteps: int, dim: int,
     step, from particle i's Philox stream keyed by (seed, i), so a path does
     not depend on the ensemble size.  The steps are drawn in the fewest
     blocks of at most _NOISE_BLOCK (100) steps, of equal width give or take
-    one, each particle's state carried between them as one 12-word row
-    (`_noise_blocks`); numpy's Philox layout is checked once per stream, and
-    another one is a RuntimeError.  Each row is C-contiguous and valid only
-    until the next row is requested.
+    one, carrying each particle's state as a 12-word row through a checked
+    slice of the generator (`_noise_blocks`).  Each row is C-contiguous and
+    valid only until the next row is requested.
 
     A one-block stream is drawn in place, into one step-major buffer, before
     its first row is handed out: there is nothing to overlap.  A longer
@@ -684,12 +683,11 @@ _PHILOX_KEY_AT, _PHILOX_COUNTER_AT = 64, 80  # byte offsets in the struct
 
 def _philox_state(bitgen: np.random.Philox) -> np.ndarray:
     """The whole state of `bitgen` as a writable (12,) uint64 view of its
-    struct: buffer position, buffer[4], has_uint32 | uinteger << 32,
-    key[2], counter[4].  The layout is numpy's private one, so it is checked
-    first: the key and counter pointers before any word is mapped, then a
-    state set through numpy's setter must read back through the slice, and
-    one written through the slice must survive numpy's getter and setter.
-    A mismatch is a RuntimeError."""
+    struct, valid while `bitgen` lives: buffer position, buffer[4],
+    has_uint32 | uinteger << 32, key[2], counter[4].  numpy's layout is
+    private, so its key and counter pointers are checked before any word is
+    mapped, then a state through numpy's setter and the slice and one back
+    through its getter and setter; a mismatch is a RuntimeError."""
     addr = bitgen.ctypes.state_address
     if tuple((ctypes.c_uint64 * 2).from_address(addr)) == (
             addr + _PHILOX_COUNTER_AT, addr + _PHILOX_KEY_AT):
@@ -701,13 +699,11 @@ def _philox_state(bitgen: np.random.Philox) -> np.ndarray:
             "state": {"key": (2 ** 64 - 1, 6), "counter": (1, 2, 3, 4)}}
         if live.tolist() == [3, 7, 8, 9, 10, 2 ** 63 + 1, 2 ** 64 - 1, 6,
                              1, 2, 3, 4]:
-            live[...] = written = [2, 11, 12, 13, 14, 0, 15, 16, 17, 18, 19,
-                                   2 ** 63]
+            live[...] = written = list(range(4, 16))
             bitgen.state = bitgen.state
             if live.tolist() == written:
                 return live
-    raise RuntimeError("numpy's Philox layout is not the one its 12-word "
-                       "state slice expects")
+    raise RuntimeError("numpy's Philox state layout is not the expected one")
 
 
 def integrate_nelson(trace: EvolutionTrace, q0_list, dt: float,

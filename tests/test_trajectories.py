@@ -688,11 +688,10 @@ class TestNoise:
         bitgen = np.random.Philox(key=np.array([5, 6], np.uint64))
         bitgen.random_raw(3)
         before = bitgen.state
-        with pytest.raises(RuntimeError, match="numpy's Philox layout"):
+        with pytest.raises(RuntimeError, match="numpy's Philox state layout"):
             trajectories._philox_state(bitgen)
-        assert _state_words(bitgen.state) == \
-            _state_words(before)
-        with pytest.raises(RuntimeError, match="numpy's Philox layout"):
+        assert _state_words(bitgen.state) == _state_words(before)
+        with pytest.raises(RuntimeError, match="numpy's Philox state layout"):
             next(_philox_noise(3, 5, 60, 1, 1.0))  # drawn in place
 
     def test_producer_that_meets_another_layout_is_an_error(
@@ -703,7 +702,7 @@ class TestNoise:
                            r"ended with exit status 1 at block 0 of 11"):
             next(rows)
         _assert_no_child()
-        assert "numpy's Philox layout" in capfd.readouterr().err
+        assert "numpy's Philox state layout" in capfd.readouterr().err
 
     def test_error_in_a_step_ends_the_producer(self):
         # the producer is reaped as the error leaves transport, not when
