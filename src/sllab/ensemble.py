@@ -93,12 +93,18 @@ def _bin_masses(rho: np.ndarray, grid: Grid, edges: np.ndarray) -> np.ndarray:
 def chi2_against_target(positions_1d: np.ndarray, target_rho: np.ndarray,
                         grid: Grid, bins: int) -> EquilibriumReport:
     """Chi-square goodness of fit of samples against a gridded target
-    density; expected counts integrate the target over each bin."""
+    density; expected counts integrate the target over each bin.  A
+    ValueError when fewer than 2 bins are left after merging (no degrees
+    of freedom)."""
     lo, hi = -0.5 * grid.length, 0.5 * grid.length
     counts, edges = np.histogram(positions_1d, bins=bins, range=(lo, hi))
     n = len(positions_1d)
     expected = n * _bin_masses(target_rho, grid, edges)
     obs, exp = _merge_low_bins(counts, expected)
+    if len(exp) < 2:
+        raise ValueError(f"too few trajectories or bins for a chi-square "
+                         f"test: {n} samples in {bins} bins leave 1 bin "
+                         f"once bins expecting fewer than 5 are merged")
     dof = len(exp) - 1
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
     p = _chi2_sf(chi2, dof)

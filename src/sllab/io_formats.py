@@ -8,6 +8,9 @@ SLF1 layout (little-endian):
     L       float64  length per axis
     t       float64  snapshot time
     payload float64  interleaved Re, Im over grid points in C order
+
+A large CSV table (field or paths) is cut into row ranges that forked
+writers format at the same time (`_write_table`), with the same bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import signal
 import struct
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +34,8 @@ HEADER_BYTES = 28
 # rows formatted at a time; their strings, not the whole table, set the
 # writer's peak memory
 FIELD_CSV_CHUNK_ROWS = 2048
+# values per forked row-range writer of a CSV table; bytes per pipe read
+FORK_VALUES, PIPE_READ_BYTES = 1 << 15, 1 << 16
 
 
 class FormatError(ValueError):
@@ -85,9 +93,9 @@ def write_field_csv(psi: Wavefunction, path,
     The bytes are those of csv.writer: each float is written as its repr,
     so rows of floats round-trip, and rows end in \\r\\n.  The table is
     written FIELD_CSV_CHUNK_ROWS rows at a time, and within a chunk each
-    distinct value of a column (keyed by its float64 bits, so 0.0 and -0.0
-    stay apart) is formatted once: the coordinates and the node-filled S
-    and Q repeat many values."""
+    distinct value of the coordinates and of the node-filled S and Q, which
+    repeat many values, is formatted once (keyed by its float64 bits, so
+    0.0 and -0.0 stay apart)."""
     grid = psi.grid
     params = params or PhysicalParams.quantum()
     polar = polar_decompose(psi, hbar=params.hbar)
@@ -97,12 +105,15 @@ def write_field_csv(psi: Wavefunction, path,
     vals = psi.values.ravel()
     columns = [c.ravel() for c in coords] + [
         vals.real, vals.imag, polar.R.ravel(), polar.S.ravel(), q.ravel()]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, grid.size, FIELD_CSV_CHUNK_ROWS):
-            cells = [_reprs(c[start:start + FIELD_CSV_CHUNK_ROWS])
-                     for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+    formats = [_reprs] * grid.dim + [_plain_reprs] * 3 + [_reprs] * 2
+
+    def rows(start, stop):
+        for lo in range(start, stop, FIELD_CSV_CHUNK_ROWS):
+            hi = min(lo + FIELD_CSV_CHUNK_ROWS, stop)
+            cells = [f(c[lo:hi]) for f, c in zip(formats, columns)]
+            yield ("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode()
+
+    _write_table(path, header, grid.size, grid.size * len(columns), rows)
 
 
 def _reprs(values: np.ndarray) -> list:
@@ -112,6 +123,10 @@ def _reprs(values: np.ndarray) -> list:
     texts = np.array(list(map(repr, keys.view(np.float64).tolist())),
                      dtype=object)
     return texts[inverse].tolist()
+
+
+def _plain_reprs(values: np.ndarray) -> list:
+    return list(map(repr, values.tolist()))
 
 
 def write_series_csv(rows, header, path) -> None:
@@ -130,14 +145,77 @@ def write_trajectories_csv(ensemble, path) -> None:
     # the bytes csv.writer gives (a float as its repr, rows ending in
     # \r\n) from one %-format per path: the time column is written into it
     # once per file and the path id once per path
-    rows = "".join(f"{{id}},{t!r}" + ",%r" * dim + "\r\n"
-                   for t in ensemble.times.tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for i in range(ensemble.n_trajectories):  # one path at a time
-            path_rows = rows.replace("{id}", str(i))
-            fh.write(path_rows % tuple(
-                ensemble.positions[i].ravel().tolist()))
+    template = "".join(f"{{id}},{t!r}" + ",%r" * dim + "\r\n"
+                       for t in ensemble.times.tolist())
+
+    def rows(start, stop):
+        for i in range(start, stop):  # one path at a time
+            yield (template.replace("{id}", str(i)) % tuple(
+                ensemble.positions[i].ravel().tolist())).encode()
+
+    _write_table(path, header, ensemble.n_trajectories,
+                 ensemble.positions.size, rows)
+
+
+def _write_table(path, header: list, nrows: int, nvalues: int, rows) -> None:
+    """Write the `header` line, then rows(0, nrows), where rows(a, b) yields
+    the bytes of rows a to b in pieces.  The rows are cut into k = min(usable
+    CPUs, nvalues // FORK_VALUES, nrows) ranges, at least 1.  Before the
+    parent formats anything, a child is forked for each range after the
+    first (`_fork_rows`); the parent writes range 0 as it formats it, then
+    copies each child's pipe in order and reaps it.  A child that does not
+    exit 0 is a RuntimeError; on any error every unreaped child is killed."""
+    k = max(1, min(len(os.sched_getaffinity(0)), nvalues // FORK_VALUES,
+                   nrows))
+    bounds = [nrows * j // k for j in range(k + 1)]
+    children = []  # (pid, read end of its pipe), in row order
+    try:
+        with open(path, "wb") as fh:
+            for j in range(1, k):
+                children.append(_fork_rows(rows, bounds[j], bounds[j + 1]))
+            fh.write((",".join(header) + "\r\n").encode())
+            for piece in rows(0, bounds[1]):
+                fh.write(piece)
+            while children:
+                pid, fd = children[0]
+                while piece := os.read(fd, PIPE_READ_BYTES):
+                    fh.write(piece)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                os.close(children.pop(0)[1])
+                if status:
+                    raise RuntimeError(f"CSV row writer (pid {pid}) ended "
+                                       f"with exit status {status}")
+    finally:
+        for pid, fd in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
+def _fork_rows(rows, start: int, stop: int):
+    """(pid, read fd) of a child that formats rows(start, stop) and only
+    then writes them to the pipe, so it never waits on a full pipe while
+    the parent formats."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:  # the child; nothing may return past os._exit
+            status = 1
+            try:
+                os.close(r)
+                with open(w, "wb") as out:
+                    out.write(b"".join(rows(start, stop)))
+                status = 0
+            except BaseException:
+                os.write(2, traceback.format_exc().encode())
+            finally:
+                os._exit(status)
+    except OSError:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    return pid, r
 
 
 def canonical_json(doc) -> str:

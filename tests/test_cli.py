@@ -82,6 +82,30 @@ class TestRun:
         assert "dt=0.01 does not divide the trace span 0.205" in err
         assert not (out / "summary.json").exists()
 
+    # the ensemble has mass where the wave density has none: H = inf is
+    # null in summary.json, and fails H_decreases
+    @pytest.mark.parametrize("params,h_final", [
+        ({"coarse_bins": 300, "uniform_halfwidth": 50.0}, None),
+        ({"n": 16, "length": 2.0, "coarse_bins": 32}, float)],
+        ids=["coarse_bins_300", "n_16_length_2"])
+    def test_relaxation_infinite_h_is_null(self, tmp_path, params, h_final):
+        p = _cfg(tmp_path, {"experiment": "relaxation", "seed": 0,
+                            "params": {"t_final": 0.5, "n_traj": 500,
+                                       **params}})
+        out = tmp_path / "out"
+        assert main(["run", p, "--out", str(out)]) == 4
+
+        def no_constant(name):
+            raise ValueError(f"{name} in summary.json")
+
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=no_constant)
+        assert summary["H_initial"] is None
+        assert (summary["H_final"] is None if h_final is None
+                else math.isfinite(summary["H_final"]))
+        assert summary["assertions"] == {"H_decreases": False}
+        assert "inf" in (out / "h_series.csv").read_text()
+
     def test_seed_override(self, tmp_path):
         p = _cfg(tmp_path, {"experiment": "relaxation", "seed": 1,
                             "params": {"n_traj": 300, "t_final": 0.5,
@@ -275,6 +299,14 @@ MALFORMED = [
              "tables": [{"context": ["A"], "probabilities": {"0": [1]}}]}),
      False),
     ("model_past_lp_guard", _model(_CYCLE_MODEL), False),
+    # chi-square tests left with one bin, so no degrees of freedom
+    ("chi2_one_trajectory",
+     _doc("nelson_born", 11, n_traj=1, t_final=0.1), False),
+    ("chi2_one_bin_nelson",
+     _doc("nelson_born", 11, n_traj=200, bins=1, t_final=0.1), False),
+    ("chi2_one_bin_equivariance",
+     _doc("equivariance", 0, n=128, t_final=0.1, n_traj=1000, n_seeds=1,
+          bins=1), False),
 ]
 
 

@@ -1,5 +1,9 @@
 import csv
+import errno
+import io
 import json
+import os
+import signal
 import struct
 
 import numpy as np
@@ -25,7 +29,8 @@ from sllab.io_formats import (
     write_slf1,
     write_trajectories_csv,
 )
-from sllab.trajectories import integrate_nelson, static_trace
+from sllab.trajectories import TrajectoryEnsemble, integrate_nelson, \
+    static_trace
 from sllab.grid_field import harmonic_ground_state
 
 
@@ -184,6 +189,154 @@ class TestCsv:
             rows = list(csv.reader(fh))
         assert rows[0] == ["traj_id", "t", "x"]
         assert len(rows) == 1 + 3 * 11
+
+
+def _paths(npaths, dim, ntimes=5, seed=0):
+    rng = np.random.default_rng(seed)
+    return TrajectoryEnsemble(
+        times=np.linspace(0.0, 0.4, ntimes),
+        positions=rng.standard_normal((npaths, ntimes, dim)), kind="nelson",
+        node_flags=np.zeros(npaths, bool))
+
+
+def _paths_bytes(ens):
+    """The path table as csv.writer writes rows of reprs."""
+    dim = ens.positions.shape[2]
+    rows = [["traj_id", "t", "x", "y"][:2 + dim]] + [
+        [str(i), repr(t)] + [repr(v) for v in ens.positions[i, j].tolist()]
+        for i in range(ens.n_trajectories)
+        for j, t in enumerate(ens.times.tolist())]
+    return "".join(",".join(r) + "\r\n" for r in rows).encode()
+
+
+class TestSplitWriter:
+    """Tables cut into row ranges that forked children format: the bytes
+    of one writer, and no child left behind."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """Split every table between `cpus` writers at most, and count the
+        forks."""
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        def split(cpus):
+            monkeypatch.setattr(io_formats, "FORK_VALUES", 1)
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)))
+            monkeypatch.setattr(os, "fork", counted)
+            return forks
+        return split
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_paths_bytes_at_any_split(self, tmp_path, workers,
+                                      assert_no_child, dim, k):
+        ens = _paths(7, dim)
+        forks = workers(k)
+        p = tmp_path / "paths.csv"
+        write_trajectories_csv(ens, p)
+        assert p.read_bytes() == _paths_bytes(ens)
+        assert len(forks) == k - 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("npaths", [1, 2])
+    def test_fewer_paths_than_workers(self, tmp_path, workers,
+                                      assert_no_child, npaths):
+        ens = _paths(npaths, 1)
+        forks = workers(3)
+        p = tmp_path / "paths.csv"
+        write_trajectories_csv(ens, p)
+        assert p.read_bytes() == _paths_bytes(ens)
+        assert len(forks) == npaths - 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_field_bytes_at_any_split(self, tmp_path, workers,
+                                      assert_no_child, k):
+        # 8 chunks of 2048 rows, split off chunk boundaries at k = 3
+        psi = gaussian_packet(make_grid(2, 20.0, 128), rho_width=2.0,
+                              momentum=1.5)
+        # the in-process bytes, which test_field_csv_bytes_match_per_row_repr
+        # pins
+        one, split = tmp_path / "one.csv", tmp_path / "split.csv"
+        workers(1)
+        write_field_csv(psi, one)
+        forks = workers(k)
+        write_field_csv(psi, split)
+        assert len(forks) == k - 1
+        assert split.read_bytes() == one.read_bytes()
+        assert_no_child()
+
+    @pytest.mark.parametrize("how,status", [("raise", 1), ("kill", -9)])
+    def test_child_that_fails_is_an_error(self, tmp_path, monkeypatch,
+                                          capfd, workers, assert_no_child,
+                                          how, status):
+        parent = os.getpid()
+        plain = io_formats._plain_reprs
+
+        def fails_in_a_child(values):
+            if os.getpid() != parent:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ArithmeticError("no rows here")
+            return plain(values)
+
+        monkeypatch.setattr(io_formats, "_plain_reprs", fails_in_a_child)
+        workers(2)
+        psi = gaussian_packet(make_grid(1, 20.0, 64))
+        with pytest.raises(RuntimeError, match=r"CSV row writer \(pid \d+\) "
+                           rf"ended with exit status {status}$"):
+            write_field_csv(psi, tmp_path / "field.csv")
+        assert_no_child()
+        assert (how == "raise") == (
+            "ArithmeticError: no rows here" in capfd.readouterr().err)
+
+    def test_failed_file_write_kills_the_child(self, tmp_path, monkeypatch,
+                                               workers, assert_no_child):
+        class Full(io.BytesIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        target = tmp_path / "field.csv"
+        monkeypatch.setattr(io_formats, "open", lambda f, *a: (
+            Full() if f == target else open(f, *a)), raising=False)
+        statuses = []
+        waitpid = os.waitpid
+
+        def recorded(pid, options):
+            statuses.append(waitpid(pid, options)[1])
+            return pid, statuses[-1]
+
+        monkeypatch.setattr(os, "waitpid", recorded)
+        workers(2)
+        # the child's half is far more than a pipe holds, and the parent
+        # never reads it: the child cannot end by itself
+        psi = gaussian_packet(make_grid(2, 20.0, 64), rho_width=2.0)
+        with pytest.raises(OSError, match="No space left"):
+            write_field_csv(psi, target)
+        assert len(statuses) == 1
+        assert os.WIFSIGNALED(statuses[0])
+        assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
+        assert_no_child()
+
+    def test_small_tables_never_fork(self, tmp_path, monkeypatch):
+        # the free_packet final field (512 x 6 values) and a short path
+        # sample stay below FORK_VALUES
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        write_field_csv(gaussian_packet(make_grid(1, 40.0, 512)),
+                        tmp_path / "field.csv")
+        write_trajectories_csv(_paths(300, 1, ntimes=101),
+                               tmp_path / "paths.csv")
+        write_trajectories_csv(_paths(160, 2, ntimes=101),
+                               tmp_path / "paths2.csv")
 
 
 class TestJson:

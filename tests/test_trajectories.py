@@ -1,5 +1,4 @@
 import itertools
-import os
 import tracemalloc
 
 import numpy as np
@@ -609,16 +608,17 @@ class TestNoise:
     # a stream closed after its first row, mid-stream, and one drained to
     # its last row, whose producer is reaped before that row is handed out
     @pytest.mark.parametrize("taken", [1, 300, 1100])
-    def test_no_producer_left(self, taken):
+    def test_no_producer_left(self, taken, assert_no_child):
         rows = _philox_noise(3, 5, 1100, 1, 1.0)
         for _ in itertools.islice(rows, taken):
             pass
         if taken == 1100:
-            _assert_no_child()
+            assert_no_child()
         rows.close()
-        _assert_no_child()
+        assert_no_child()
 
-    def test_producer_that_dies_is_an_error(self, monkeypatch, capfd):
+    def test_producer_that_dies_is_an_error(self, monkeypatch, capfd,
+                                             assert_no_child):
         draw = trajectories._noise_blocks
 
         def dies_in_block_1(*args):
@@ -632,7 +632,7 @@ class TestNoise:
                            r"ended with exit status 1 at block 1 of 11"):
             for _ in rows:
                 pass
-        _assert_no_child()
+        assert_no_child()
         assert "ArithmeticError: no block 1" in capfd.readouterr().err
 
     def test_one_block_carries_no_states(self):
@@ -695,16 +695,16 @@ class TestNoise:
             next(_philox_noise(3, 5, 60, 1, 1.0))  # drawn in place
 
     def test_producer_that_meets_another_layout_is_an_error(
-            self, monkeypatch, capfd):
+            self, monkeypatch, capfd, assert_no_child):
         monkeypatch.setattr(trajectories, "_PHILOX_KEY_AT", 72)
         rows = _philox_noise(3, 5, 1100, 1, 1.0)
         with pytest.raises(RuntimeError, match=r"noise producer \(pid \d+\) "
                            r"ended with exit status 1 at block 0 of 11"):
             next(rows)
-        _assert_no_child()
+        assert_no_child()
         assert "numpy's Philox state layout" in capfd.readouterr().err
 
-    def test_error_in_a_step_ends_the_producer(self):
+    def test_error_in_a_step_ends_the_producer(self, assert_no_child):
         # the producer is reaped as the error leaves transport, not when
         # the traceback, which holds the stream, is collected: `err` keeps
         # it alive here
@@ -720,10 +720,10 @@ class TestNoise:
         with pytest.raises(ArithmeticError, match="step 300") as err:
             integrate_nelson(static_trace(psi), np.zeros((5, 1)), 1e-2,
                              QUANTUM, 0, steps=1100, drift_extra=extra)
-        _assert_no_child()
+        assert_no_child()
         assert "extra" in str(err.traceback[-1])
 
-    def test_two_producers_in_one_transport(self):
+    def test_two_producers_in_one_transport(self, assert_no_child):
         trace, q0, dt, seed, _, steps, _ = _static_case()
         rules = [StepRule("nelson", rng_seed=s) for s in (seed, seed + 1)]
         got = transport(trace, [(q0, rule) for rule in rules], dt, QUANTUM,
@@ -731,7 +731,7 @@ class TestNoise:
         for ens, rule in zip(got, rules):
             _assert_same(ens, integrate_nelson(trace, q0, dt, QUANTUM,
                                                rule.rng_seed, steps=steps))
-        _assert_no_child()
+        assert_no_child()
 
 
 def _state_words(state: dict) -> list:
@@ -741,12 +741,6 @@ def _state_words(state: dict) -> list:
         state["buffer_pos"], *state["buffer"],
         state["has_uint32"] | state["uinteger"] << 32,
         *inner["key"], *inner["counter"])]
-
-
-def _assert_no_child():
-    """This process has no child, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _node_line_case():
