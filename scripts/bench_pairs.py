@@ -11,29 +11,36 @@ Each revision (CHANGE_REV defaults to HEAD) is exported with
 are measured.  For each workload, pair i runs
 `python3 perfbench/run.py --workload W --seed K+i --seconds S --trace 0`
 once from each export, one run at a time, the parent first on even pairs
-and the change first on odd ones.
+and the change first on odd ones.  Before each pair it times two forked
+copies of a fixed loop against one (`fork_ratio`): about 1 when the host
+runs forked work side by side, about 2 when the copies share one CPU, as
+forked work often does on a 2-vCPU host.
 
 The summary of a workload is the block the BENCH_<tag>.json files carry
-under "claim_runs": the number of pairs, which side ran first, whether
-every run was correct and how many operations failed or were attempted
-per side, and for every end-to-end metric each side's median, q1-q3
-(linear-interpolation quartiles, numpy's default), how many pairs read
-lower and higher on the change, the ratio of the medians and every run.
+under "claim_runs": the number of pairs, which side ran first and the
+fork ratio before each pair, whether every run was correct and how many
+operations failed or were attempted per side, and for every end-to-end
+metric each side's median, q1-q3 (linear-interpolation quartiles,
+numpy's default), how many pairs read lower and higher on the change,
+the ratio of the medians and every run.
 It is printed per workload as it completes, and all of it is written as
 JSON to --out when given.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+FORK_LOOP = 3_000_000  # the loop each forked copy sums over
 
 
 def _quartiles(values: list) -> tuple:
@@ -43,10 +50,34 @@ def _quartiles(values: list) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarize(parent: list, change: list, first: list) -> dict:
+def fork_ratio(n: int = FORK_LOOP) -> float:
+    """Wall time of two forked copies of sum(range(n)), started together,
+    over that of one copy."""
+    def wall(copies: int) -> float:
+        start = time.perf_counter()
+        pids = []
+        for _ in range(copies):
+            pid = os.fork()
+            if pid == 0:  # nothing may return past os._exit
+                try:
+                    sum(range(n))
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        return time.perf_counter() - start
+
+    return wall(2) / wall(1)
+
+
+def summarize(parent: list, change: list, first: list,
+              fork_ratios: list) -> dict:
     """The claim_runs block of one workload from the perfbench result
-    dicts of each side, pair by pair, and the side that ran first."""
+    dicts of each side, pair by pair, the side that ran first and the
+    `fork_ratio` measured before the pair."""
     block = {"pairs": len(parent), "first_side": first,
+             "fork_ratio": [round(r, 3) for r in fork_ratios],
              "all_correct": all(r["correct"] for r in parent + change),
              "failed": {"parent": sum(r["failed"] for r in parent),
                         "change": sum(r["failed"] for r in change)},
@@ -123,20 +154,22 @@ def main(argv=None) -> int:
                "claim_runs": {}}
         for workload in args.workload:
             runs = {"parent": [], "change": []}
-            first = []
+            first, ratios = [], []
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else \
                     ("change", "parent")
                 first.append(order[0])
+                ratios.append(fork_ratio())
                 for side in order:
                     runs[side].append(_run(roots[side], workload,
                                            args.seed_base + i, args.seconds))
-            block = summarize(runs["parent"], runs["change"], first)
+            block = summarize(runs["parent"], runs["change"], first, ratios)
             doc["claim_runs"][workload] = block
             print(workload, {name: block[name]["summary"]
                              for name in METRICS},
                   f"correct {block['all_correct']}, failed "
-                  f"{block['failed']}", flush=True)
+                  f"{block['failed']}, fork ratios {block['fork_ratio']}",
+                  flush=True)
             if args.out:
                 args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc, indent=2))

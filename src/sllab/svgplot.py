@@ -3,6 +3,8 @@ Deliberately minimal: axes, ticks, labels, legend."""
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 W, H = 640, 420
@@ -67,21 +69,30 @@ def _axes(xlo, xhi, ylo, yhi, xlabel, ylabel):
     return parts, sx, sy
 
 
-def _polyline(xs, ys, sx, sy, color):
-    pts = " ".join(f"{float(sx(x)):.2f},{float(sy(y)):.2f}"
-                   for x, y in zip(xs, ys))
-    return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>')
+def _polylines(xs, ys, sx, sy, color):
+    """One polyline per run of points whose x and y are both finite."""
+    runs = groupby(zip(xs, ys), lambda p: bool(np.isfinite(p).all()))
+    pts = [" ".join(f"{float(sx(x)):.2f},{float(sy(y)):.2f}" for x, y in run)
+           for finite, run in runs if finite]
+    return [f'<polyline points="{p}" fill="none" stroke="{color}" '
+            f'stroke-width="1.5"/>' for p in pts]
+
+
+def _finite_range(values):
+    """(min, max) of the finite entries of the sequences `values`, (0, 0)
+    if there is none."""
+    flat = np.concatenate([np.asarray(v, dtype=float).ravel() for v in values])
+    flat = flat[np.isfinite(flat)]
+    return (float(flat.min()), float(flat.max())) if flat.size else (0.0, 0.0)
 
 
 def line_plot(series, path, title="", xlabel="x", ylabel="y"):
-    """series: list of (label, xs, ys)."""
+    """series: list of (label, xs, ys).  The axes span the finite values;
+    a line breaks at a point with a non-finite coordinate."""
     if not series or any(len(xs) == 0 for _, xs, _ in series):
         raise PlotError("empty series")
-    xlo = min(float(np.min(xs)) for _, xs, _ in series)
-    xhi = max(float(np.max(xs)) for _, xs, _ in series)
-    ylo = min(float(np.min(ys)) for _, _, ys in series)
-    yhi = max(float(np.max(ys)) for _, _, ys in series)
+    xlo, xhi = _finite_range([xs for _, xs, _ in series])
+    ylo, yhi = _finite_range([ys for _, _, ys in series])
     if ylo == yhi:
         ylo, yhi = ylo - 0.5, yhi + 0.5
     parts = _header(title)
@@ -89,7 +100,7 @@ def line_plot(series, path, title="", xlabel="x", ylabel="y"):
     parts += ax
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        parts.append(_polyline(xs, ys, sx, sy, color))
+        parts += _polylines(xs, ys, sx, sy, color)
         parts.append(f'<text x="{W-MR-6}" y="{MT+14+14*i}" text-anchor="end" '
                      f'font-size="11" font-family="sans-serif" fill="{color}">'
                      f'{label}</text>')

@@ -21,12 +21,19 @@ state dicts and gives the same values.  A stream is drawn in equal blocks
 of at most _NOISE_BLOCK = 100 steps, scaled by the noise amplitude as
 they are filled: a row is contiguous and valid until the next one is
 drawn, so a transport uses each row at once.  A one-block stream is drawn
-in place into one step-major buffer.  A longer one is drawn by a forked
-producer process, one block ahead, into two slots of a shared anonymous
-mmap, so the draws run on another core while the transport steps (a
-thread would hold the interpreter lock); the child is reaped before the
-stream ends, and `transport` closes every stream when its step loop ends
-or raises.  This needs `os.fork`.
+in place into one step-major buffer.
+
+Two kinds of forked producer process (`_forked_ring`) fill a ring of
+slots in a shared anonymous mmap ahead of the transport, so their work,
+which holds the interpreter lock, runs on another core while the
+transport steps (a thread would hold the lock): a longer noise stream,
+one block ahead in two slots, and, when two CPUs are usable, the velocity
+fields of a moving trace on at least FORK_FIELD_POINTS grid points, three
+fields ahead in six slots, at the times `_field_times` gives.  A child is
+reaped after its last item, and `transport` closes every producer when
+its step loop ends or raises.  The bytes are those of the in-process
+path.  This needs `os.fork`.  (The only other processes sllab forks are
+the row-range writers of `io_formats`.)
 
 The loop records positions only at the steps a schedule (`keep`) names,
 so memory grows with the ensembles, not with the step count.
@@ -68,6 +75,10 @@ from .dynamics import EvolutionTrace
 
 _NOISE_BLOCK = 100  # most time steps of noise drawn per particle at once
 _NOISE_TILE = 64  # particles drawn into the scratch before one copy-in
+# a moving trace's velocity fields are built by a forked producer from this
+# many grid points up, _FIELD_LAG fields ahead, in _FIELD_SLOTS slots
+FORK_FIELD_POINTS = 1 << 12
+_FIELD_SLOTS, _FIELD_LAG = 6, 3
 
 
 class VelocityField:
@@ -275,22 +286,35 @@ def interpolate_grid(field: np.ndarray, grid: Grid,
 
 
 class FrameInterpolator:
-    """Linear-in-time (Re, Im) interpolation of trace snapshots, with
-    velocity grids computed from the interpolated field on demand.
+    """Linear-in-time (Re, Im) interpolation of trace snapshots, and the
+    velocity fields of a transport built from it at `field_times` (see
+    `_field_times`), in order.
 
     The velocity fields of the last two times asked for are kept.  Those
     are the fields an RK4 step reads after its start, at t + dt/2 and
     t + dt, so every ensemble of a transport shares them, and the next
-    step starts from the field at t + dt.
+    step starts from the field at t + dt.  A miss takes the next field,
+    which must be at the time asked for.  A moving trace's fields are built
+    by a forked producer (`_forked_fields`) from FORK_FIELD_POINTS grid
+    points up when two CPUs are usable, else in-process; `close` ends the
+    producer at once.
     """
 
-    def __init__(self, trace: EvolutionTrace, params: PhysicalParams):
+    def __init__(self, trace: EvolutionTrace, params: PhysicalParams,
+                 field_times: list):
         self.params = params
         self.grid = trace.snapshots[0].psi.grid
         self.times = trace.times
         self.frames = [s.psi.values for s in trace.snapshots]
         self.static = len(self.frames) == 1
         self._fields = {}  # time -> VelocityField, the last two asked for
+        if (not self.static and self.grid.size >= FORK_FIELD_POINTS
+                and len(os.sched_getaffinity(0)) > 1):
+            self._built = _forked_fields(self, field_times)
+        else:
+            self._built = ((t, velocity_field(self.psi_at(t), self.grid,
+                                              params))
+                           for t in ([0.0] if self.static else field_times))
 
     def psi_at(self, t: float) -> np.ndarray:
         if self.static:
@@ -307,11 +331,18 @@ class FrameInterpolator:
             t = 0.0
         vf = self._fields.get(t)
         if vf is None:
-            vf = velocity_field(self.psi_at(t), self.grid, self.params)
+            made, vf = next(self._built, (None, None))
+            if made != t:
+                raise RuntimeError(f"the next velocity field is at "
+                                   f"t={made!r}, not at t={t!r}")
             if len(self._fields) == 2:
                 del self._fields[next(iter(self._fields))]
             self._fields[t] = vf
         return vf
+
+    def close(self) -> None:
+        """End the field producer, if one runs, at once."""
+        self._built.close()
 
 
 def step_times(trace: EvolutionTrace, dt: float,
@@ -344,6 +375,21 @@ def step_times(trace: EvolutionTrace, dt: float,
         if steps is not None:
             nsteps = min(nsteps, steps)
     return t0 + dt * np.arange(nsteps + 1)
+
+
+def _field_times(t0: float, dt: float, nsteps: int, rk4: bool) -> list:
+    """The times, in order, at which `FrameInterpolator.velocity_at` misses
+    its two-field cache in a transport of `nsteps` steps from t0: each step
+    start t, then, if an RK4 rule is present, t + dt/2 and t + dt, the
+    expressions the steps use (so an RK4 stage that misses the next start
+    by an ulp is a field of its own)."""
+    times = []
+    for i in range(nsteps):
+        t = t0 + i * dt
+        for s in (t, t + 0.5 * dt, t + dt) if rk4 else (t,):
+            if s not in times[-2:]:  # the two fields cached
+                times.append(s)
+    return times
 
 
 def _schedule(keep, nsteps: int) -> np.ndarray:
@@ -452,10 +498,13 @@ def transport(trace: EvolutionTrace, runs: Sequence, dt: float,
     """
     if not runs:
         raise ValueError("need at least one ensemble")
-    interp = FrameInterpolator(trace, params)
-    grid = interp.grid
     all_times = step_times(trace, dt, steps)
     nsteps = len(all_times) - 1
+    t0 = float(all_times[0])
+    rk4 = any(rule.kind == "bohmian" for _, rule in runs)
+    interp = FrameInterpolator(trace, params,
+                               _field_times(t0, dt, nsteps, rk4))
+    grid = interp.grid
     cols = _schedule(keep, nsteps)
     slot = {int(c): s for s, c in enumerate(cols)}
     amp = np.sqrt(2.0 * params.nu * dt)
@@ -494,7 +543,6 @@ def transport(trace: EvolutionTrace, runs: Sequence, dt: float,
                 pos[:, s, :] = q
 
     record(0)
-    t0 = float(all_times[0])
     try:
         for i in range(nsteps):
             t = t0 + i * dt
@@ -509,8 +557,8 @@ def transport(trace: EvolutionTrace, runs: Sequence, dt: float,
                                 kicks.get(streams[k]))
             record(i + 1)
     finally:
-        for rows in noise.values():
-            rows.close()  # ends a stream's producer process at once
+        for producer in (*noise.values(), interp):
+            producer.close()  # ends a producer process at once
 
     times = all_times[cols]
     return [TrajectoryEnsemble(times=times, positions=pos, kind=rule.kind,
@@ -546,11 +594,13 @@ def _philox_noise(seed: int, npart: int, nsteps: int, dim: int,
 
     A one-block stream is drawn in place, into one step-major buffer, before
     its first row is handed out: there is nothing to overlap.  A longer
-    stream forks one producer process (`_forked_noise`) that draws the
+    stream forks one producer process (`_forked_ring`) that draws the
     blocks into two slots of a shared anonymous mmap, one block ahead of
-    the rows handed out, so the draws, which hold the interpreter lock, run
+    the rows handed out (a slot is freed when the first row of the next
+    block is requested), so the draws, which hold the interpreter lock, run
     on another core while the caller steps; a thread would share the lock.
-    The bytes are the same either way.  This needs `os.fork`.
+    The child touches only numpy.random and the slots.  The bytes are the
+    same either way.  This needs `os.fork`.
     """
     if nsteps == 0:
         return
@@ -558,31 +608,66 @@ def _philox_noise(seed: int, npart: int, nsteps: int, dim: int,
     bounds = [nsteps * k // nblocks for k in range(nblocks + 1)]
     shape = (-(-nsteps // nblocks), npart, dim)
     if nblocks > 1:
-        yield from _forked_noise(seed, scale, bounds, shape)
+        shared = mmap.mmap(-1, 2 * math.prod(shape) * 8)
+        slots = np.frombuffer(shared).reshape((2,) + shape)
+        yield from _forked_ring(
+            _noise_blocks(seed, scale, bounds, slots),
+            lambda b, s: slots[s, :bounds[b + 1] - bounds[b]],
+            nblocks, 2, 1, "noise producer", "block")
         return
     rows = np.empty(shape)
     next(_noise_blocks(seed, scale, bounds, [rows]))
     yield from rows
 
 
-def _forked_noise(seed: int, scale: float, bounds: list, shape: tuple):
-    """The rows of a stream of more than one block, drawn by a forked child.
+def _forked_fields(interp: FrameInterpolator, times: list):
+    """(t, VelocityField) for each time of `times`, built by a forked
+    producer (`_forked_ring`) with the in-process call
+    `velocity_field(interp.psi_at(t), grid, params)` into _FIELD_SLOTS slots
+    of a shared anonymous mmap: v and b per axis, |psi|, the time and the
+    node level.  The child never fills nodes, and the parent's fill makes
+    new arrays, so nothing writes into a slot.  A field is valid until
+    _FIELD_LAG newer ones are requested: the step's field and the two that
+    `FrameInterpolator` caches."""
+    grid = interp.grid
+    shape = (_FIELD_SLOTS, 2 * grid.dim + 1) + grid.shape
+    planes = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
+    stamps = np.frombuffer(mmap.mmap(-1, _FIELD_SLOTS * 16)).reshape(-1, 2)
 
-    The child runs `_noise_blocks` into two slots of `shape` in one shared
-    anonymous mmap, block b into slot b % 2, and writes a byte to one pipe
-    when a block is full; before block b >= 2 it waits for a byte on a
-    second pipe saying slot b % 2 is free.  The parent frees a slot as soon
-    as the first row of the next block is requested.  The child touches
-    only numpy.random and the slots, and ends with os._exit; the parent
-    reaps it once the last block is full, or kills and reaps it when the
-    rows are closed early or an error ends them.  A child that ends before
-    its last block is a RuntimeError with its exit status.  (Python 3.12
-    and later warn on a fork while other threads run, such as scipy's
-    OpenBLAS pool; the child calls no code of theirs.)
+    def fill():
+        for j, t in enumerate(times):
+            vf = velocity_field(interp.psi_at(t), grid, interp.params)
+            np.stack((*vf._grids["v"], *vf._grids["b"], vf.abs_psi),
+                     out=planes[j % _FIELD_SLOTS])
+            stamps[j % _FIELD_SLOTS] = t, vf.node_level
+            yield
+
+    def take(j, s):
+        (t, level), abs_psi = stamps[s].tolist(), planes[s, -1]
+        yield t, VelocityField(tuple(planes[s, :grid.dim]),
+                               tuple(planes[s, grid.dim:-1]), abs_psi, level,
+                               abs_psi < level)
+
+    return _forked_ring(fill(), take, len(times), _FIELD_SLOTS, _FIELD_LAG,
+                        "field producer", "field")
+
+
+def _forked_ring(fill, take, nitems: int, nslots: int, lag: int, what: str,
+                 unit: str):
+    """Yield from take(j, j % nslots) for each item j = 0..nitems - 1 of a
+    forked producer, once the child has filled slot j % nslots with it.
+
+    The child advances the iterator `fill` once per item and writes a byte
+    to one pipe when the item is done; before item j >= nslots it waits for
+    a byte on a second pipe saying item j - nslots is freed.  The parent
+    frees item j - lag as it requests item j.  The child ends with
+    os._exit; the parent reaps it after the last item, or kills and reaps
+    it when the generator is closed early or an error ends it.  A child
+    that ends before its last item is a RuntimeError naming `what`, its pid
+    and exit status and the `unit` it ended at.  (Python 3.12 and later
+    warn on a fork while other threads run, such as scipy's OpenBLAS pool;
+    the child calls no code of theirs.)
     """
-    nblocks = len(bounds) - 1
-    shared = mmap.mmap(-1, 2 * math.prod(shape) * 8)
-    slots = np.frombuffer(shared).reshape((2,) + shape)
     full_r, full_w = os.pipe()
     free_r, free_w = os.pipe()
     try:
@@ -596,11 +681,10 @@ def _forked_noise(seed: int, scale: float, bounds: list, shape: tuple):
         try:
             os.close(full_r)
             os.close(free_w)
-            blocks = _noise_blocks(seed, scale, bounds, slots)
-            for b in range(nblocks):
-                if b >= 2 and not os.read(free_r, 1):
-                    break  # the parent closed the stream
-                next(blocks)
+            for j in range(nitems):
+                if j >= nslots and not os.read(free_r, 1):
+                    break  # the parent closed the ring
+                next(fill)
                 os.write(full_w, b"\0")
             status = 0
         except BaseException:
@@ -611,21 +695,21 @@ def _forked_noise(seed: int, scale: float, bounds: list, shape: tuple):
     os.close(free_r)
     reaped = False
     try:
-        for b in range(nblocks):
+        for j in range(nitems):
             try:
-                if 0 < b < nblocks - 1:
-                    os.write(free_w, b"\0")  # block b - 1's slot
+                if lag <= j < nitems + lag - nslots:
+                    os.write(free_w, b"\0")  # item j - lag's slot
                 full = os.read(full_r, 1)
             except BrokenPipeError:
                 full = b""
-            if not full or b == nblocks - 1:
+            if not full or j == nitems - 1:
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 reaped = True
                 if not full or status:
                     raise RuntimeError(
-                        f"noise producer (pid {pid}) ended with exit status "
-                        f"{status} at block {b} of {nblocks}")
-            yield from slots[b % 2, :bounds[b + 1] - bounds[b]]
+                        f"{what} (pid {pid}) ended with exit status "
+                        f"{status} at {unit} {j} of {nitems}")
+            yield from take(j, j % nslots)
     finally:
         os.close(full_r)
         os.close(free_w)

@@ -21,9 +21,11 @@ def test_summary_of_fixed_pairs():
     change = [_result(w, 0.2, 74.0, failed=f) for w, f in
               zip([0.9, 1.25, 1.0, 1.3, 1.2], [0, 0, 1, 0, 0])]
     first = ["parent", "change", "parent", "change", "parent"]
-    block = bench_pairs.summarize(parent, change, first)
+    ratios = [1.02, 1.9, 2.0004, 0.98, 1.5]
+    block = bench_pairs.summarize(parent, change, first, ratios)
 
     assert block["pairs"] == 5 and block["first_side"] == first
+    assert block["fork_ratio"] == [1.02, 1.9, 2.0, 0.98, 1.5]
     assert block["all_correct"] is False
     assert block["failed"] == {"parent": 0, "change": 1}
     assert block["attempted"] == {"parent": 50, "change": 50}
@@ -48,7 +50,15 @@ def test_summary_of_fixed_pairs():
 
 def test_one_pair_has_its_value_as_every_quartile():
     block = bench_pairs.summarize([_result(1.0, 0.2, 80.0)],
-                                  [_result(0.8, 0.3, 80.0)], ["parent"])
+                                  [_result(0.8, 0.3, 80.0)], ["parent"],
+                                  [1.1])
     assert block["wall_s"]["parent_q1_q3"] == [1.0, 1.0]
     assert block["setup_s"]["change_higher_pairs"] == 1
     assert block["peak_rss_mb"]["summary"] == "80 -> 80, lower in 0 of 1"
+
+
+def test_fork_ratio_reaps_its_copies(assert_no_child):
+    # about 1 side by side, about 2 on one CPU; either way both copies
+    # are reaped
+    assert bench_pairs.fork_ratio(200_000) > 0
+    assert_no_child()

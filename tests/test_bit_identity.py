@@ -7,16 +7,20 @@ the noise iterator and the bulk CSV writers must reproduce them bit for
 bit.  Each case is small: a moving 1-D trace through a node with an
 extra drift, a static trace with a node (Nelson over 600 steps, so the
 noise crosses a block boundary, and the zero-drift control), and a 2-D
-pointer trace with the coupling drift.
+pointer trace with the coupling drift.  The moving and pointer cases run
+a second time with their velocity fields built by the forked field
+producer, which must give the same bytes.
 """
 
 import dataclasses
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
 
+from sllab import trajectories
 from sllab.dynamics import EvolutionConfig, evolve
 from sllab.grid_field import PhysicalParams, PotentialSpec, Wavefunction, \
     make_grid
@@ -47,6 +51,15 @@ DIGESTS = {
     "field_csv":
         "1d4590d2176d01994decedf40cfd8aacfba1614354c7438916df6b8a614c12f9",
 }
+
+
+def fork_fields(patch, forked=True):
+    """Through `patch` (a pytest MonkeyPatch), have every moving trace's
+    velocity fields built by the forked field producer whatever the grid
+    size and usable CPUs (forked), or always in-process."""
+    patch.setattr(trajectories, "FORK_FIELD_POINTS", 0 if forked else 1 << 62)
+    if forked:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 def _node_state(grid, momentum):
@@ -137,6 +150,29 @@ def digests(tmp_path_factory):
     return compute_digests(tmp_path_factory.mktemp("bit_identity"))
 
 
+@pytest.fixture(scope="module")
+def forked_digests():
+    """The moving and pointer digests with the fork forced, and the number
+    of field producers their transports made."""
+    producers = []
+    produce = trajectories._forked_fields
+    with pytest.MonkeyPatch.context() as patch:
+        fork_fields(patch)
+        patch.setattr(trajectories, "_forked_fields",
+                      lambda *args: producers.append(1) or produce(*args))
+        ensembles = {**_moving(), **_pointer()[1]}
+    out = {name: _ensemble_digest(ens) for name, ens in ensembles.items()}
+    return out, len(producers)
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_bytes_match_recorded_digest(digests, name):
+    assert digests[name] == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["moving_bohmian", "moving_nelson",
+                                  "pointer_bohmian", "pointer_nelson"])
+def test_forked_fields_match_recorded_digest(forked_digests, name):
+    digests, producers = forked_digests
+    assert producers == 4
     assert digests[name] == DIGESTS[name]

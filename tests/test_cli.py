@@ -88,6 +88,7 @@ class TestRun:
         ({"coarse_bins": 300, "uniform_halfwidth": 50.0}, None),
         ({"n": 16, "length": 2.0, "coarse_bins": 32}, float)],
         ids=["coarse_bins_300", "n_16_length_2"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_relaxation_infinite_h_is_null(self, tmp_path, params, h_final):
         p = _cfg(tmp_path, {"experiment": "relaxation", "seed": 0,
                             "params": {"t_final": 0.5, "n_traj": 500,
@@ -105,6 +106,7 @@ class TestRun:
                 else math.isfinite(summary["H_final"]))
         assert summary["assertions"] == {"H_decreases": False}
         assert "inf" in (out / "h_series.csv").read_text()
+        assert "nan" not in (out / "h_series.svg").read_text()
 
     def test_seed_override(self, tmp_path):
         p = _cfg(tmp_path, {"experiment": "relaxation", "seed": 1,

@@ -1,4 +1,5 @@
 import dataclasses
+import mmap
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from sllab.measurement import (
     read_out,
     run_measurement,
 )
+
+from test_bit_identity import fork_fields
 
 QUANTUM = PhysicalParams.quantum()
 
@@ -156,24 +159,30 @@ class TestReadout:
 
 class TestOneTransport:
     def test_kinds_share_velocity_fields(self, monkeypatch):
+        # on both paths: fields are counted in memory shared with a forked
+        # field producer
         model = _model()
         trace = evolve_pointer(model, QUANTUM)
-        built = []
+        built = np.frombuffer(mmap.mmap(-1, 8), np.int64)
         real = trajectories.velocity_field
 
         def counted(*args):
-            built.append(args)
+            built[0] += 1
             return real(*args)
 
         monkeypatch.setattr(trajectories, "velocity_field", counted)
         kinds = ("bohmian", "nelson")
-        both = read_out(model, QUANTUM, trace, 400, 5, kinds, 1e-2)
-        n_both = len(built)
-        apart = [read_out(model, QUANTUM, trace, 400, 5, (kind,), 1e-2)[0]
-                 for kind in kinds]
-        assert n_both < len(built) - n_both
-        assert [r.kind for r in both] == list(kinds)
-        assert [r.as_dict() for r in both] == [r.as_dict() for r in apart]
+        for forked in (False, True):
+            fork_fields(monkeypatch, forked)
+            built[0] = 0
+            both = read_out(model, QUANTUM, trace, 400, 5, kinds, 1e-2)
+            n_both = int(built[0])
+            apart = [read_out(model, QUANTUM, trace, 400, 5, (kind,),
+                              1e-2)[0] for kind in kinds]
+            assert n_both < built[0] - n_both
+            assert [r.kind for r in both] == list(kinds)
+            assert [r.as_dict() for r in both] == [r.as_dict()
+                                                   for r in apart]
 
     def test_bare_kind_string_rejected(self):
         model = _model()

@@ -1,4 +1,6 @@
 import itertools
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -31,7 +33,7 @@ from sllab.trajectories import (
     velocity_field,
 )
 from oracles import free_gaussian_bohm_path, ou_euler_law
-from test_bit_identity import _ensemble_digest, _node_state
+from test_bit_identity import _ensemble_digest, _node_state, fork_fields
 
 QUANTUM = PhysicalParams.quantum()
 
@@ -731,6 +733,155 @@ class TestNoise:
         for ens, rule in zip(got, rules):
             _assert_same(ens, integrate_nelson(trace, q0, dt, QUANTUM,
                                                rule.rng_seed, steps=steps))
+        assert_no_child()
+
+
+def _field_rules(which, extra, seed):
+    bohm, nelson = StepRule("bohmian", extra), StepRule("nelson", extra, seed)
+    return {"bohmian": [bohm], "nelson": [nelson],
+            "both": [bohm, nelson, StepRule("nelson", extra, seed + 1)]}[which]
+
+
+class TestFieldProducer:
+    """A moving trace's velocity fields built by the forked field producer
+    give the ensembles of fields built in-process, bit for bit."""
+
+    @staticmethod
+    def _both_ways(monkeypatch, case, which, steps=None):
+        trace, q0, dt, seed, _, _, extra = case
+        runs = [(q0, rule) for rule in _field_rules(which, extra, seed)]
+        built = []  # fields built in this process
+        build = trajectories.velocity_field
+
+        def counted(*args):
+            built.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(trajectories, "velocity_field", counted)
+        got = {}
+        for forked in (False, True):
+            fork_fields(monkeypatch, forked)
+            built.clear()
+            got[forked] = transport(trace, runs, dt, QUANTUM, steps)
+            nsteps = len(got[forked][0].times) - 1
+            assert len(built) == (0 if forked else len(
+                trajectories._field_times(0.0, dt, nsteps,
+                                          which != "nelson")))
+        for ens, want in zip(got[True], got[False]):
+            _assert_same(ens, want)
+
+    @pytest.mark.parametrize("which", ["bohmian", "nelson", "both"])
+    @pytest.mark.parametrize("name", ["moving", "pointer"])
+    def test_forked_fields_equal_in_process(self, monkeypatch, name, which,
+                                            assert_no_child):
+        self._both_ways(monkeypatch, CASES[name](), which)
+        assert_no_child()
+
+    @pytest.mark.parametrize("which", ["bohmian", "nelson"])
+    def test_node_fill_from_a_slot(self, monkeypatch, fills, which,
+                                   assert_no_child):
+        # particles next to a node fill fields that the producer built
+        self._both_ways(monkeypatch, _odd_moving_case(), which)
+        assert fills
+        assert_no_child()
+
+    def test_steps_below_the_span(self, monkeypatch, assert_no_child):
+        self._both_ways(monkeypatch, _pointer_case(), "both", steps=7)
+        assert_no_child()
+
+    def test_rk4_stage_duplicates_are_fields_of_their_own(
+            self, monkeypatch, assert_no_child):
+        # from 0 in steps of 0.01, the last RK4 stage of 12 of 60 steps is
+        # an ulp off the next step start, so 60 steps read 3 + 59 * 2 + 12
+        # fields, every one built once; the pointer case crosses them
+        times = trajectories._field_times(0.0, 1e-2, 60, True)
+        assert len(times) == len(set(times)) == 133
+        assert trajectories._field_times(0.0, 1e-2, 60, False) == [
+            i * 1e-2 for i in range(60)]
+        assert len(_pointer_case()[0].times) == 61
+        self._both_ways(monkeypatch, _pointer_case(), "bohmian")
+        assert_no_child()
+
+    def test_ring_kept_full_by_a_slow_parent(self, monkeypatch,
+                                             assert_no_child):
+        # a drift that waits lets the producer run as far ahead as the
+        # slots allow: a field must outlive the RK4 stages after it, for
+        # the Nelson rules that gather it last in its step.  Particles
+        # inside the packet never fill, so every gather reads a slot
+        trace, q0, dt, seed, _, _, extra = _pointer_case()
+
+        def slow(t, q):
+            time.sleep(2e-3)
+            return extra(t, q)
+
+        self._both_ways(monkeypatch, (trace, q0[:4], dt, seed, None, None,
+                                      slow), "both", steps=10)
+        assert_no_child()
+
+    def test_producer_that_dies_is_an_error(self, monkeypatch, capfd,
+                                            assert_no_child):
+        build = trajectories.velocity_field
+        built = []
+
+        def dies_at_field_4(*args):
+            if len(built) == 4:
+                raise ArithmeticError("no field 4")
+            built.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(trajectories, "velocity_field", dies_at_field_4)
+        fork_fields(monkeypatch)
+        with pytest.raises(RuntimeError, match=r"field producer \(pid \d+\) "
+                           r"ended with exit status 1 at field 4 of 133"):
+            _run("bohmian", _pointer_case())
+        assert_no_child()
+        assert "ArithmeticError: no field 4" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_schedule_mismatch_is_an_error(self, monkeypatch, forked,
+                                           assert_no_child):
+        schedule = trajectories._field_times
+        monkeypatch.setattr(trajectories, "_field_times",
+                            lambda *args: schedule(*args)[1:])
+        fork_fields(monkeypatch, forked)
+        with pytest.raises(RuntimeError, match=r"the next velocity field is "
+                           r"at t=0\.005, not at t=0\.0"):
+            _run("bohmian", _pointer_case())
+        assert_no_child()
+
+    def test_error_in_a_step_ends_the_producer(self, monkeypatch,
+                                               assert_no_child):
+        trace, q0, dt, seed, _, _, extra = _pointer_case()
+        calls = []
+
+        def fails(t, q):
+            if len(calls) == 30:
+                raise ArithmeticError("call 30")
+            calls.append(t)
+            return extra(t, q)
+
+        fork_fields(monkeypatch)
+        with pytest.raises(ArithmeticError, match="call 30"):
+            transport(trace, [(q0, rule) for rule in
+                              _field_rules("both", fails, seed)], dt, QUANTUM)
+        assert_no_child()
+
+    @pytest.mark.parametrize("why", ["static", "one_cpu", "small_grid"])
+    def test_no_fork(self, monkeypatch, why, assert_no_child):
+        # Bohmian rules draw no noise, so nothing else forks
+        case = _node_line_case() if why == "static" else _pointer_case()
+        fork_fields(monkeypatch)
+        if why == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif why == "small_grid":
+            monkeypatch.setattr(trajectories, "FORK_FIELD_POINTS",
+                                case[0].snapshots[0].psi.grid.size + 1)
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _run("bohmian", case)
         assert_no_child()
 
 
