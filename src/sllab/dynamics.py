@@ -23,9 +23,9 @@ spectrum, the inverse transforms, the division by R and the node fill,
 on arrays kept while the stack keeps its shape.  The fill's source map
 is kept while the node mask holds still, which it does on most steps,
 and found again only when the mask changes.  The stepper advances a
-stack of fields at once, each with its own lam; `lambda_sweep` runs all
-its fields in one stack, and each row gives the bytes a separate
-`evolve` call gives.  A step whose norms hold is checked from the norms
+stack of fields at once, each with its own lam, and each row gives the
+bytes a separate `evolve` call gives, so `lambda_sweep` can run every
+other lam in a forked child's stack and the rest in its own.  A step whose norms hold is checked from the norms
 alone; the fields are scanned for non-finite values only at snapshots
 and at a step that fails, and each snapshot's <H> serves its lam-energy
 check.
@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +51,7 @@ from .grid_field import (
     node_level,
     node_sources,
 )
+from .io_formats import ForkedChild
 
 
 class EvolutionAbort(RuntimeError):
@@ -455,10 +458,13 @@ def lambda_sweep(psi0: Wavefunction, cfg_base: EvolutionConfig, lambdas,
     If `reference_components` is a list of (wavefunction, weight) pairs,
     each component is also evolved alone at the same lambda and the
     summary's visibility is the coherent-vs-incoherent fringe metric;
-    otherwise visibility is None.  All fields at all lambdas advance in one
-    stack.  Per-lambda aborts are recorded and the sweep continues; a
-    lambda whose reference component aborts is recorded as aborted, with
-    visibility None and the component named in its detail.
+    otherwise visibility is None.  Per-lambda aborts are recorded and the
+    sweep continues; a lambda whose reference component aborts is recorded
+    as aborted, with visibility None and the component named in its detail.
+    The fields of all lambdas advance in one stack, or, for two or more
+    lambdas and two usable CPUs, those of every other lambda in the stack of
+    a forked child (`io_formats.ForkedChild`) that sends back their entries
+    pickled; an exception there is raised here with its type and message.
     """
     lambdas = list(lambdas)
     if not lambdas:
@@ -468,34 +474,56 @@ def lambda_sweep(psi0: Wavefunction, cfg_base: EvolutionConfig, lambdas,
     if sorted(lambdas) != lambdas:
         raise ValueError("lambda values must be sorted ascending")
 
-    # one stack: per lambda the coherent field, then each component
     comps = [] if reference_components is None else reference_components
     group = 1 + len(comps)
     fields = [psi0] + [comp.normalized() for comp, _ in comps]
-    traces = _evolve_rows(fields * len(lambdas), cfg_base,
-                          [lam for lam in lambdas for _ in range(group)])
 
-    entries = []
-    for k, lam in enumerate(lambdas):
-        trace, *comp_traces = traces[k * group:(k + 1) * group]
-        status, detail = trace.status, trace.detail
-        failed = [(c, tr) for c, tr in enumerate(comp_traces)
-                  if tr.status != "ok"]
-        if status == "ok" and failed:
-            c, tr = failed[0]
-            status = "aborted"
-            detail = f"reference component {c}: {tr.detail}"
-        final_rho = trace.final().density() if trace.snapshots else None
-        visibility = None
-        if status == "ok" and reference_components is not None:
-            rho_inc = np.zeros(psi0.grid.shape)
-            for (_, weight), tr in zip(comps, comp_traces):
-                rho_inc = rho_inc + weight * tr.final().density()
-            visibility = fringe_visibility(final_rho, rho_inc, psi0.grid)
+    def entries_of(lams):
+        # one stack: per lambda the coherent field, then each component
+        traces = _evolve_rows(fields * len(lams), cfg_base,
+                              [lam for lam in lams for _ in range(group)])
+        entries = []
+        for k, lam in enumerate(lams):
+            trace, *comp_traces = traces[k * group:(k + 1) * group]
+            status, detail = trace.status, trace.detail
+            failed = [(c, tr) for c, tr in enumerate(comp_traces)
+                      if tr.status != "ok"]
+            if status == "ok" and failed:
+                c, tr = failed[0]
+                status = "aborted"
+                detail = f"reference component {c}: {tr.detail}"
+            final_rho = trace.final().density() if trace.snapshots else None
+            visibility = None
+            if status == "ok" and reference_components is not None:
+                rho_inc = np.zeros(psi0.grid.shape)
+                for (_, weight), tr in zip(comps, comp_traces):
+                    rho_inc = rho_inc + weight * tr.final().density()
+                visibility = fringe_visibility(final_rho, rho_inc, psi0.grid)
 
-        entries.append(SweepEntry(
-            lam=lam, status=status, detail=detail, visibility=visibility,
-            final_density=final_rho,
-            max_q_history=[s.max_q for s in trace.snapshots],
-        ))
+            entries.append(SweepEntry(
+                lam=lam, status=status, detail=detail, visibility=visibility,
+                final_density=final_rho,
+                max_q_history=[s.max_q for s in trace.snapshots],
+            ))
+        return entries
+
+    if len(lambdas) < 2 or len(os.sched_getaffinity(0)) < 2:
+        return entries_of(lambdas)
+
+    def child_half():
+        try:
+            return pickle.dumps(entries_of(lambdas[1::2]))
+        except Exception as exc:  # raised again in the parent
+            return pickle.dumps(exc)
+
+    child = ForkedChild(child_half, "lambda-sweep child")
+    try:
+        mine = entries_of(lambdas[::2])
+        theirs = pickle.loads(b"".join(child.pieces()))
+    finally:
+        child.kill()
+    if isinstance(theirs, Exception):
+        raise theirs
+    entries = [None] * len(lambdas)
+    entries[::2], entries[1::2] = mine, theirs
     return entries

@@ -10,7 +10,8 @@ SLF1 layout (little-endian):
     payload float64  interleaved Re, Im over grid points in C order
 
 A large CSV table (field or paths) is cut into row ranges that forked
-writers format at the same time (`_write_table`), with the same bytes.
+writers format at the same time (`ForkedChild`, which also runs half of
+`dynamics.lambda_sweep`), with the same bytes.
 """
 
 from __future__ import annotations
@@ -161,61 +162,77 @@ def _write_table(path, header: list, nrows: int, nvalues: int, rows) -> None:
     """Write the `header` line, then rows(0, nrows), where rows(a, b) yields
     the bytes of rows a to b in pieces.  The rows are cut into k = min(usable
     CPUs, nvalues // FORK_VALUES, nrows) ranges, at least 1.  Before the
-    parent formats anything, a child is forked for each range after the
-    first (`_fork_rows`); the parent writes range 0 as it formats it, then
+    parent formats anything, a `ForkedChild` is forked to format each range
+    after the first; the parent writes range 0 as it formats it, then
     copies each child's pipe in order and reaps it.  A child that does not
     exit 0 is a RuntimeError; on any error every unreaped child is killed."""
     k = max(1, min(len(os.sched_getaffinity(0)), nvalues // FORK_VALUES,
                    nrows))
     bounds = [nrows * j // k for j in range(k + 1)]
-    children = []  # (pid, read end of its pipe), in row order
+    children = []  # in row order
     try:
         with open(path, "wb") as fh:
-            for j in range(1, k):
-                children.append(_fork_rows(rows, bounds[j], bounds[j + 1]))
+            for a, b in zip(bounds[1:-1], bounds[2:]):
+                children.append(ForkedChild(
+                    lambda a=a, b=b: b"".join(rows(a, b)), "CSV row writer"))
             fh.write((",".join(header) + "\r\n").encode())
             for piece in rows(0, bounds[1]):
                 fh.write(piece)
-            while children:
-                pid, fd = children[0]
-                while piece := os.read(fd, PIPE_READ_BYTES):
-                    fh.write(piece)
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                os.close(children.pop(0)[1])
-                if status:
-                    raise RuntimeError(f"CSV row writer (pid {pid}) ended "
-                                       f"with exit status {status}")
+            for child in children:
+                fh.writelines(child.pieces())
     finally:
-        for pid, fd in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
+        for child in children:
+            child.kill()
 
 
-def _fork_rows(rows, start: int, stop: int):
-    """(pid, read fd) of a child that formats rows(start, stop) and only
-    then writes them to the pipe, so it never waits on a full pipe while
-    the parent formats."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-        if pid == 0:  # the child; nothing may return past os._exit
-            status = 1
-            try:
-                os.close(r)
-                with open(w, "wb") as out:
-                    out.write(b"".join(rows(start, stop)))
-                status = 0
-            except BaseException:
-                os.write(2, traceback.format_exc().encode())
-            finally:
-                os._exit(status)
-    except OSError:
-        os.close(r)
-        raise
-    finally:
-        os.close(w)
-    return pid, r
+class ForkedChild:
+    """A forked child that writes the bytes of produce() to a pipe once
+    they are all made, so it never waits on a full pipe while the parent
+    works, and exits 0, or, if produce() raises, writes the traceback to
+    stderr and exits 1.  The parent reads and reaps it with `pieces`."""
+
+    def __init__(self, produce, what: str):
+        self.what = what  # names the child in errors
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+            if pid == 0:  # the child; nothing may return past os._exit
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as out:
+                        out.write(produce())
+                    status = 0
+                except BaseException:
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(status)
+        except OSError:
+            os.close(r)
+            raise
+        finally:
+            os.close(w)
+        self.pid, self.fd = pid, r
+
+    def pieces(self):
+        """Yield the child's bytes up to EOF, then reap it; a child that
+        does not exit 0 is a RuntimeError naming its pid and exit status."""
+        while piece := os.read(self.fd, PIPE_READ_BYTES):
+            yield piece
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        os.close(self.fd)
+        self.fd = None
+        if status:
+            raise RuntimeError(f"{self.what} (pid {self.pid}) ended with "
+                               f"exit status {status}")
+
+    def kill(self) -> None:
+        """Kill and reap the child, unless `pieces` has reaped it."""
+        if self.fd is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            os.close(self.fd)
+            self.fd = None
 
 
 def canonical_json(doc) -> str:

@@ -33,7 +33,8 @@ fields ahead in six slots, at the times `_field_times` gives.  A child is
 reaped after its last item, and `transport` closes every producer when
 its step loop ends or raises.  The bytes are those of the in-process
 path.  This needs `os.fork`.  (The only other processes sllab forks are
-the row-range writers of `io_formats`.)
+the row-range writers of `io_formats` and the child that evolves half
+of a `dynamics.lambda_sweep`.)
 
 The loop records positions only at the steps a schedule (`keep`) names,
 so memory grows with the ensembles, not with the step count.

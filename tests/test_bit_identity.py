@@ -9,7 +9,10 @@ extra drift, a static trace with a node (Nelson over 600 steps, so the
 noise crosses a block boundary, and the zero-drift control), and a 2-D
 pointer trace with the coupling drift.  The moving and pointer cases run
 a second time with their velocity fields built by the forked field
-producer, which must give the same bytes.
+producer, which must give the same bytes.  The lambda_sweep digest, of
+the entries of a five-lambda sweep with two reference components, was
+recorded with the sweep run in one stack; it must hold with every other
+lambda evolved in a forked child and with one CPU, in one process.
 """
 
 import dataclasses
@@ -21,9 +24,9 @@ import numpy as np
 import pytest
 
 from sllab import trajectories
-from sllab.dynamics import EvolutionConfig, evolve
+from sllab.dynamics import EvolutionConfig, evolve, lambda_sweep
 from sllab.grid_field import PhysicalParams, PotentialSpec, Wavefunction, \
-    make_grid
+    gaussian_packet, make_grid
 from sllab.io_formats import write_field_csv, write_trajectories_csv
 from sllab.measurement import PointerModel, coupling_drift, evolve_pointer
 from sllab.trajectories import integrate_bohmian, integrate_nelson, \
@@ -50,6 +53,8 @@ DIGESTS = {
         "d6f5e1dc19dde1b6534572082d2eb5a9408919fc0ae21d39fb25405ce640dbac",
     "field_csv":
         "1d4590d2176d01994decedf40cfd8aacfba1614354c7438916df6b8a614c12f9",
+    "lambda_sweep":
+        "f9b80dd3f55a9846d6a7c805c7b9eb08d9a394fa2665a5c117b0d3d73ff1ef8d",
 }
 
 
@@ -129,6 +134,25 @@ def _pointer():
     }
 
 
+def _sweep_digest() -> str:
+    """sha256 of the entries of a sweep over lam = 0, .25, .5, .75, 1 of
+    two overlapping packets, with each as a reference component."""
+    grid = make_grid(1, 40.0, 128)
+    left = gaussian_packet(grid, center=-2.5)
+    right = gaussian_packet(grid, center=+2.5)
+    both = Wavefunction(grid, left.values + right.values).normalized()
+    cfg = EvolutionConfig(dt=2e-3, steps=500, params=QUANTUM,
+                          potential=PotentialSpec.free(), snapshot_stride=50)
+    h = hashlib.sha256()
+    for e in lambda_sweep(both, cfg, [0.0, 0.25, 0.5, 0.75, 1.0],
+                          reference_components=[(left, 0.5), (right, 0.5)]):
+        h.update(repr((e.lam, e.status, e.detail, e.visibility,
+                       e.max_q_history)).encode())
+        h.update(repr(e.final_density.shape).encode())
+        h.update(e.final_density.tobytes())
+    return h.hexdigest()
+
+
 def compute_digests(tmp_dir) -> dict:
     moving = _moving()
     trace, pointer = _pointer()
@@ -142,6 +166,7 @@ def compute_digests(tmp_dir) -> dict:
     field = tmp_dir / "field.csv"
     write_field_csv(trace.final(), field, QUANTUM)
     out["field_csv"] = _file_digest(field)
+    out["lambda_sweep"] = _sweep_digest()
     return out
 
 
@@ -176,3 +201,14 @@ def test_forked_fields_match_recorded_digest(forked_digests, name):
     digests, producers = forked_digests
     assert producers == 4
     assert digests[name] == DIGESTS[name]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_matches_recorded_digest(monkeypatch, assert_no_child, cpus):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert _sweep_digest() == DIGESTS["lambda_sweep"]
+    assert len(forks) == cpus - 1
+    assert_no_child()

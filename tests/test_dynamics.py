@@ -1,3 +1,6 @@
+import os
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -285,6 +288,125 @@ class TestSweep:
         g = make_grid(1, 20.0, 128)
         rho = gaussian_packet(g).density()
         assert fringe_visibility(rho, rho, g) == 0.0
+
+
+class TestForkedSweep:
+    """Every other lambda of a sweep evolved in a forked child: the entries
+    of one process, the child's errors raised in the parent, and no child
+    left behind."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Make `n` CPUs usable and record the pid of every fork."""
+        forks = []
+        fork = os.fork
+
+        def recorded():
+            forks.append(fork())
+            return forks[-1]
+
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(n)))
+            monkeypatch.setattr(os, "fork", recorded)
+            return forks
+        return use
+
+    @pytest.fixture
+    def rows_in(self, monkeypatch):
+        """Call child(lams) or parent(lams) before the sweep's stack of
+        those lambdas in the child or in the parent process."""
+        parent_pid = os.getpid()
+        rows = dynamics._evolve_rows
+
+        def patch(child=None, parent=None):
+            def patched(psi0s, cfg, lams):
+                action = parent if os.getpid() == parent_pid else child
+                if action is not None:
+                    action(lams)
+                return rows(psi0s, cfg, lams)
+            monkeypatch.setattr(dynamics, "_evolve_rows", patched)
+        return patch
+
+    @staticmethod
+    def _small_sweep(lambdas=(0.0, 0.5, 1.0)):
+        return lambda_sweep(gaussian_packet(make_grid(1, 20.0, 64)),
+                            _cfg(1e-3, 20), list(lambdas))
+
+    def test_entries_equal_in_process(self, cpus, assert_no_child):
+        # TestSweep's chirp case, and lam = .25, which aborts in the child
+        # as lam = 0 does in the parent
+        g = make_grid(1, 40.0, 256)
+        comps = [(gaussian_packet(g, center=-4.0), 0.5),
+                 (gaussian_packet(g, center=+4.0), 0.5)]
+        got = {}
+        for n in (1, 2):
+            forks = cpus(n)
+            got[n] = lambda_sweep(_chirp(g), _cfg(1e-3, 1500, stride=100),
+                                  [0.0, 0.25, 0.5, 1.0],
+                                  reference_components=comps)
+        assert len(forks) == 1
+        assert [e.status for e in got[2]] == ["aborted"] * 2 + ["ok"] * 2
+        for e, want in zip(got[2], got[1]):
+            assert (e.lam, e.status, e.detail, e.visibility,
+                    e.max_q_history) == (want.lam, want.status, want.detail,
+                                         want.visibility, want.max_q_history)
+            assert e.final_density.tobytes() == want.final_density.tobytes()
+        assert_no_child()
+
+    def test_child_exception_is_raised_here(self, cpus, rows_in,
+                                            assert_no_child):
+        def fails(lams):
+            raise FieldError(f"no rows at lam {lams[0]}")
+
+        rows_in(child=fails)
+        cpus(2)
+        with pytest.raises(FieldError, match=r"^no rows at lam 0\.5$"):
+            self._small_sweep()
+        assert_no_child()
+
+    def test_child_without_result_is_an_error(self, cpus, rows_in,
+                                              assert_no_child):
+        rows_in(child=lambda lams: os._exit(1))
+        forks = cpus(2)
+        with pytest.raises(RuntimeError) as err:
+            self._small_sweep()
+        assert str(err.value) == (f"lambda-sweep child (pid {forks[0]}) "
+                                  "ended with exit status 1")
+        assert_no_child()
+
+    def test_error_in_the_parent_kills_the_child(self, cpus, rows_in,
+                                                 monkeypatch,
+                                                 assert_no_child):
+        def fails(lams):
+            raise ArithmeticError("no rows here")
+
+        # the child sleeps longer than the test may take, unless killed
+        rows_in(child=lambda lams: time.sleep(600), parent=fails)
+        statuses = []
+        waitpid = os.waitpid
+
+        def recorded(pid, options):
+            statuses.append(waitpid(pid, options)[1])
+            return pid, statuses[-1]
+
+        monkeypatch.setattr(os, "waitpid", recorded)
+        cpus(2)
+        with pytest.raises(ArithmeticError, match="no rows here"):
+            self._small_sweep()
+        assert len(statuses) == 1
+        assert os.WIFSIGNALED(statuses[0])
+        assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
+        assert_no_child()
+
+    def test_one_lambda_or_one_cpu_forks_nothing(self, cpus,
+                                                 assert_no_child):
+        forks = cpus(2)
+        self._small_sweep([0.5])
+        cpus(1)
+        self._small_sweep()
+        assert forks == []
+        assert_no_child()
 
 
 def _lambda_energy_from_psi(psi, potential, params):
