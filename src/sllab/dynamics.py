@@ -25,10 +25,10 @@ is kept while the node mask holds still, which it does on most steps,
 and found again only when the mask changes.  The stepper advances a
 stack of fields at once, each with its own lam, and each row gives the
 bytes a separate `evolve` call gives, so `lambda_sweep` can run every
-other lam in a forked child's stack and the rest in its own.  A step whose norms hold is checked from the norms
-alone; the fields are scanned for non-finite values only at snapshots
-and at a step that fails, and each snapshot's <H> serves its lam-energy
-check.
+other lam in a forked child's stack and the rest in its own.  A step
+whose norms hold is checked from the norms alone; the fields are scanned
+for non-finite values only at snapshots and at a step that fails, and
+each snapshot's <H> serves its lam-energy check.
 """
 
 from __future__ import annotations

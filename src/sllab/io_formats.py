@@ -188,11 +188,11 @@ def _write_table(path, header: list, nrows: int, nvalues: int, rows) -> None:
 class ForkedChild:
     """A forked child that writes the bytes of produce() to a pipe once
     they are all made, so it never waits on a full pipe while the parent
-    works, and exits 0, or, if produce() raises, writes the traceback to
-    stderr and exits 1.  The parent reads and reaps it with `pieces`."""
+    works, and exits 0; if produce() raises, it writes the traceback to
+    stderr and exits 1.  The parent reads and reaps it with `pieces` or
+    kills and reaps it with `kill`; `what` names it in errors."""
 
     def __init__(self, produce, what: str):
-        self.what = what  # names the child in errors
         r, w = os.pipe()
         try:
             pid = os.fork()
@@ -212,7 +212,7 @@ class ForkedChild:
             raise
         finally:
             os.close(w)
-        self.pid, self.fd = pid, r
+        self.pid, self.fd, self.what = pid, r, what
 
     def pieces(self):
         """Yield the child's bytes up to EOF, then reap it; a child that

@@ -203,12 +203,10 @@ def test_forked_fields_match_recorded_digest(forked_digests, name):
     assert digests[name] == DIGESTS[name]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_sweep_matches_recorded_digest(monkeypatch, assert_no_child, cpus):
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+@pytest.mark.parametrize("n", [1, 2])
+def test_sweep_matches_recorded_digest(cpus, assert_no_child, n):
+    # one CPU: one stack in this process; two: the odd lambdas in a child
+    forks = cpus(n)
     assert _sweep_digest() == DIGESTS["lambda_sweep"]
-    assert len(forks) == cpus - 1
+    assert len(forks) == n - 1
     assert_no_child()

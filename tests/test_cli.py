@@ -1,14 +1,13 @@
 import dataclasses
 import json
 import math
-import os
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sllab import dynamics, experiments as ex
+from sllab import experiments as ex
 from sllab.cli import main
 from sllab.grid_field import FieldError, Grid
 
@@ -350,22 +349,19 @@ class TestMalformedConfigs:
         assert not (out / "summary.json").exists()
 
     def test_error_in_the_sweep_child_exit_2(self, tmp_path, capsys,
-                                             monkeypatch, assert_no_child):
+                                             before_rows, cpus,
+                                             assert_no_child):
         # a FieldError raised only in the forked child, which evolves the
         # sweep's odd-indexed lambdas
-        parent = os.getpid()
-        rows = dynamics._evolve_rows
+        def fails(lams):
+            raise FieldError(f"no rows at lam {lams[0]}")
 
-        def fails_in_the_child(psi0s, cfg, lams):
-            if os.getpid() != parent:
-                raise FieldError(f"no rows at lam {lams[0]}")
-            return rows(psi0s, cfg, lams)
-
-        monkeypatch.setattr(dynamics, "_evolve_rows", fails_in_the_child)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        before_rows(child=fails)
+        forks = cpus(2)
         p = _cfg(tmp_path, _doc("lambda_sweep", n=64, t_final=0.01))
         out = tmp_path / "out"
         assert main(["run", p, "--out", str(out)]) == 2
+        assert len(forks) == 1
         assert capsys.readouterr().err.splitlines() == [
             "config error: no rows at lam 0.25"]
         assert not (out / "summary.json").exists()

@@ -295,39 +295,6 @@ class TestForkedSweep:
     of one process, the child's errors raised in the parent, and no child
     left behind."""
 
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """Make `n` CPUs usable and record the pid of every fork."""
-        forks = []
-        fork = os.fork
-
-        def recorded():
-            forks.append(fork())
-            return forks[-1]
-
-        def use(n):
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid: set(range(n)))
-            monkeypatch.setattr(os, "fork", recorded)
-            return forks
-        return use
-
-    @pytest.fixture
-    def rows_in(self, monkeypatch):
-        """Call child(lams) or parent(lams) before the sweep's stack of
-        those lambdas in the child or in the parent process."""
-        parent_pid = os.getpid()
-        rows = dynamics._evolve_rows
-
-        def patch(child=None, parent=None):
-            def patched(psi0s, cfg, lams):
-                action = parent if os.getpid() == parent_pid else child
-                if action is not None:
-                    action(lams)
-                return rows(psi0s, cfg, lams)
-            monkeypatch.setattr(dynamics, "_evolve_rows", patched)
-        return patch
-
     @staticmethod
     def _small_sweep(lambdas=(0.0, 0.5, 1.0)):
         return lambda_sweep(gaussian_packet(make_grid(1, 20.0, 64)),
@@ -354,20 +321,20 @@ class TestForkedSweep:
             assert e.final_density.tobytes() == want.final_density.tobytes()
         assert_no_child()
 
-    def test_child_exception_is_raised_here(self, cpus, rows_in,
+    def test_child_exception_is_raised_here(self, cpus, before_rows,
                                             assert_no_child):
         def fails(lams):
             raise FieldError(f"no rows at lam {lams[0]}")
 
-        rows_in(child=fails)
+        before_rows(child=fails)
         cpus(2)
         with pytest.raises(FieldError, match=r"^no rows at lam 0\.5$"):
             self._small_sweep()
         assert_no_child()
 
-    def test_child_without_result_is_an_error(self, cpus, rows_in,
+    def test_child_without_result_is_an_error(self, cpus, before_rows,
                                               assert_no_child):
-        rows_in(child=lambda lams: os._exit(1))
+        before_rows(child=lambda lams: os._exit(1))
         forks = cpus(2)
         with pytest.raises(RuntimeError) as err:
             self._small_sweep()
@@ -375,14 +342,15 @@ class TestForkedSweep:
                                   "ended with exit status 1")
         assert_no_child()
 
-    def test_error_in_the_parent_kills_the_child(self, cpus, rows_in,
+    def test_error_in_the_parent_kills_the_child(self, cpus, before_rows,
                                                  monkeypatch,
                                                  assert_no_child):
         def fails(lams):
             raise ArithmeticError("no rows here")
 
-        # the child sleeps longer than the test may take, unless killed
-        rows_in(child=lambda lams: time.sleep(600), parent=fails)
+        # the child sleeps far longer than the parent's half takes, so only
+        # a kill ends it before the parent's error
+        before_rows(child=lambda lams: time.sleep(60), parent=fails)
         statuses = []
         waitpid = os.waitpid
 
